@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from heapq import merge as _heap_merge
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,6 +42,8 @@ from ..core.index import (
     TopicKey,
 )
 from ..tracing.session import Trace
+
+_first = itemgetter(0)
 
 #: One hop record: (ts, topic, src_ts) of a dds_write, or (ts, src_ts)
 #: in the per-topic views.
@@ -74,24 +77,33 @@ class LatencyIndex:
     Consumes any chronological ``(ts, pid, code, payload)`` row stream
     plus an optional ``(ts, pid)`` wakeup stream, and indexes:
 
-    * per-PID callback-instance windows (CB start/end pairs), with the
-      start array precomputed and windows defensively sorted so an
-      unsorted input cannot silently break the bisect lookup;
-    * per-PID and per-topic ``dds_write`` rows;
+    * per-PID callback-instance windows (CB start/end pairs), defensively
+      sorted by start so an unsorted input cannot silently break the
+      bisect lookup;
+    * per-PID and per-topic ``dds_write`` rows (a PID's writes are
+      bisected by timestamp unless they arrived out of order);
     * ``take`` rows keyed by the paper's (topic, srcTS) correlation key
       and grouped per topic -- all in stream order, so results are
       byte-identical to scanning the merged in-memory trace.
+
+    The index grows: :meth:`extend` consumes the next part of the same
+    stream (a CB start left open at the end of one part pairs with its
+    end in the next), so building from a stream in parts equals building
+    from it at once.  The constructor is an empty index plus one
+    ``extend``.
     """
 
     __slots__ = (
         "_windows",
         "_starts",
         "_writes",
+        "_unsorted_writes",
         "_writes_by_topic",
         "_takes_by_key",
         "_takes_by_topic",
         "_cb_starts",
         "_wakeups",
+        "_open_start",
     )
 
     def __init__(
@@ -100,43 +112,95 @@ class LatencyIndex:
         wakeups: Iterable[Tuple[int, int]] = (),
     ):
         self._windows: Dict[int, List[Tuple[int, int]]] = {}
+        #: per-PID window start arrays, kept in step with the windows --
+        #: lookups are a plain int bisect, never a per-call list rebuild.
+        self._starts: Dict[int, List[int]] = {}
         self._writes: Dict[int, List[_WriteRow]] = {}
+        #: PIDs whose writes are not in timestamp order (scanned, not
+        #: bisected, by :meth:`writes_in`).
+        self._unsorted_writes: set = set()
         self._writes_by_topic: Dict[Optional[str], List[Tuple[int, Optional[int]]]] = {}
         self._takes_by_key: Dict[TopicKey, List[Tuple[int, int]]] = {}
         self._takes_by_topic: Dict[Optional[str], List[Tuple[int, Optional[int]]]] = {}
         self._cb_starts: Dict[int, List[int]] = {}
-        open_start: Dict[int, int] = {}
+        self._wakeups: Dict[int, List[int]] = {}
+        #: CB starts still waiting for their end, across extends.
+        self._open_start: Dict[int, int] = {}
+        self.extend(rows, wakeups)
+
+    def extend(
+        self,
+        rows: Iterable[Tuple[int, int, int, Optional[dict]]],
+        wakeups: Iterable[Tuple[int, int]] = (),
+    ) -> None:
+        """Consume the next part of the row stream, plus its wakeups.
+
+        ``rows`` must continue the stream consumed so far.  ``wakeups``
+        need not: a part's wakeups that start before a PID's existing
+        tail are merged in by timestamp.
+        """
+        open_start = self._open_start
+        windows = self._windows
+        starts = self._starts
+        writes = self._writes
+        unsorted_writes = self._unsorted_writes
+        cb_starts = self._cb_starts
+        writes_by_topic = self._writes_by_topic
+        takes_by_key = self._takes_by_key
+        takes_by_topic = self._takes_by_topic
+        unsorted_windows = set()
         for ts, pid, code, payload in rows:
             if code == CODE_CB_START:
                 open_start[pid] = ts
-                self._cb_starts.setdefault(pid, []).append(ts)
+                cb_starts.setdefault(pid, []).append(ts)
             elif code == CODE_CB_END:
                 start = open_start.pop(pid, None)
                 if start is not None:
-                    self._windows.setdefault(pid, []).append((start, ts))
+                    pid_starts = starts.get(pid)
+                    if pid_starts is None:
+                        windows[pid] = [(start, ts)]
+                        starts[pid] = [start]
+                    else:
+                        if start < pid_starts[-1]:
+                            unsorted_windows.add(pid)
+                        windows[pid].append((start, ts))
+                        pid_starts.append(start)
             elif code == CODE_DDS_WRITE:
                 topic = payload.get("topic")
                 src_ts = payload.get("src_ts")
-                self._writes.setdefault(pid, []).append((ts, topic, src_ts))
-                self._writes_by_topic.setdefault(topic, []).append((ts, src_ts))
+                pid_writes = writes.setdefault(pid, [])
+                if pid_writes and ts < pid_writes[-1][0]:
+                    unsorted_writes.add(pid)
+                pid_writes.append((ts, topic, src_ts))
+                writes_by_topic.setdefault(topic, []).append((ts, src_ts))
             elif code == CODE_TAKE:
                 topic = payload.get("topic")
                 src_ts = payload.get("src_ts")
-                self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
-                self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
-        #: per-PID window start arrays, computed once -- lookups are a
-        #: bisect, never a per-call list rebuild.
-        self._starts: Dict[int, List[int]] = {}
-        for pid, windows in self._windows.items():
-            if any(
-                windows[i][0] > windows[i + 1][0]
-                for i in range(len(windows) - 1)
-            ):
-                windows.sort(key=itemgetter(0))
-            self._starts[pid] = [w[0] for w in windows]
-        self._wakeups: Dict[int, List[int]] = {}
+                takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
+                takes_by_topic.setdefault(topic, []).append((ts, src_ts))
+        # Earlier parts left each PID's windows sorted, so a stable sort
+        # of (sorted prefix + new tail) equals the stable sort of the
+        # whole stream's windows.
+        for pid in unsorted_windows:
+            windows[pid].sort(key=_first)
+            starts[pid] = [window[0] for window in windows[pid]]
+        self._extend_wakeups(wakeups)
+
+    def _extend_wakeups(self, wakeups: Iterable[Tuple[int, int]]) -> None:
+        """Per-PID append, or a 2-way timestamp merge when the new part
+        starts before the existing tail (the fold of which equals the
+        batch merge of every part's wakeups)."""
+        local: Dict[int, List[int]] = {}
         for ts, pid in wakeups:
-            self._wakeups.setdefault(pid, []).append(ts)
+            local.setdefault(pid, []).append(ts)
+        for pid, stamps in local.items():
+            existing = self._wakeups.get(pid)
+            if existing is None:
+                self._wakeups[pid] = stamps
+            elif stamps[0] >= existing[-1]:
+                existing.extend(stamps)
+            else:
+                self._wakeups[pid] = list(_heap_merge(existing, stamps))
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "LatencyIndex":
@@ -163,11 +227,24 @@ class LatencyIndex:
     def writes_in(
         self, pid: int, window: Tuple[int, int], topic: str
     ) -> List[Tuple[int, Optional[int]]]:
-        """(ts, src_ts) of the PID's writes on ``topic`` inside ``window``."""
+        """(ts, src_ts) of the PID's writes on ``topic`` inside
+        ``window``, in stream order: a bisect over the PID's writes, or
+        a scan when they are out of timestamp order."""
+        start, end = window
+        writes = self._writes.get(pid, ())
+        if pid in self._unsorted_writes:
+            return [
+                (ts, src_ts)
+                for ts, write_topic, src_ts in writes
+                if start <= ts <= end and write_topic == topic
+            ]
         return [
             (ts, src_ts)
-            for ts, write_topic, src_ts in self._writes.get(pid, [])
-            if window[0] <= ts <= window[1] and write_topic == topic
+            for ts, write_topic, src_ts in writes[
+                bisect.bisect_left(writes, start, key=_first):
+                bisect.bisect_right(writes, end, key=_first)
+            ]
+            if write_topic == topic
         ]
 
     def writes_on(self, topic: str) -> List[Tuple[int, Optional[int]]]:

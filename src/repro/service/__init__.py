@@ -8,14 +8,15 @@ into a long-running ingest + query system, in four layers:
   over the socket or a watched drop directory;
 * **incremental maintenance** (:mod:`~repro.service.live`):
   :class:`LiveStoreIndex` / :class:`LiveSynthesizer` fold each commit
-  into the maintained walk columns, cross-node tables and sched buckets
-  -- byte-identical to a from-scratch ``synthesize_from_store`` at
-  every commit point, with windowed eviction for unbounded streams;
+  into the maintained walk columns, cross-node tables, sched buckets
+  and (once asked for latency) chain-latency index -- byte-identical to
+  a from-scratch ``synthesize_from_store`` / ``latency_index_from_store``
+  at every commit point, with windowed eviction for unbounded streams;
 * **api/worker split** (:mod:`~repro.service.server` /
   :mod:`~repro.service.state`): :class:`SynthesisService` runs the
   ingest worker and hands out :class:`ServiceState` snapshots that
-  answer ``model`` / ``chains`` / ``latency`` / ``store-info`` queries
-  off the lock;
+  answer ``model`` / ``chains`` / ``store-info`` queries off the lock;
+  ``latency`` walks the maintained latency index under it;
 * **observability** (:class:`~repro.service.live.ServiceCounters`):
   ingest/eviction/extend-vs-rebuild counters behind the ``status``
   query and ``repro perf``'s ``service.ingest`` bench section.

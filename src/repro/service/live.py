@@ -26,6 +26,12 @@ per-reader buckets fold left with a stable 2-way timestamp merge, which
 yields the same sequences as the batch n-way ``heapq.merge`` (ties
 prefer the earlier reader in both), with a cheap append fast path when
 the arriving bucket starts at-or-after the existing tail.
+
+The chain-latency :class:`~repro.analysis.latency.LatencyIndex` follows
+the same policy, lazily: built from the retained readers on the first
+latency request, then extended with each segment that takes the extend
+path (the time-ordered invariant makes the batch latency row stream a
+concatenation too), and dropped by a rebuild or an eviction.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.latency import LatencyIndex
+from ..analysis.store import _store_rows, latency_index_from_store
 from ..core import npcompat
 from ..core.dag import TimingDag
 from ..core.exec_time import _CLOSES, _OPENS, SchedIndex
@@ -242,6 +250,10 @@ class ServiceCounters:
     rebuilds: int = 0
     segments_rejected: int = 0
     queries_served: int = 0
+    #: full latency-index builds (the first ``latency`` query, and the
+    #: first one after each rebuild or eviction) and in-place extends.
+    latency_index_builds: int = 0
+    latency_index_extends: int = 0
     extend_s: float = 0.0
     rebuild_s: float = 0.0
     #: estimated wall-clock the incremental extends saved vs rebuilding
@@ -259,6 +271,8 @@ class ServiceCounters:
             "rebuilds": self.rebuilds,
             "segments_rejected": self.segments_rejected,
             "queries_served": self.queries_served,
+            "latency_index_builds": self.latency_index_builds,
+            "latency_index_extends": self.latency_index_extends,
             "extend_s": round(self.extend_s, 6),
             "rebuild_s": round(self.rebuild_s, 6),
             "saved_s": round(self.saved_s, 6),
@@ -310,6 +324,9 @@ class LiveSynthesizer:
         self._seen: set = set()
         self._events_by_run: Dict[str, int] = {}
         self._index = LiveStoreIndex()
+        #: the chain-latency index over the retained runs; built on the
+        #: first latency request, then extended with each appended run.
+        self._latency: Optional[LatencyIndex] = None
         self._dag: Optional[TimingDag] = None
         #: measured full-build seconds per event (updated by rebuilds).
         self._build_rate: Optional[float] = None
@@ -372,6 +389,13 @@ class LiveSynthesizer:
             started = perf_counter()
             self._index.extend(reader)
             elapsed = perf_counter() - started
+            if self._latency is not None:
+                # The same time-ordered append keeps the batch latency
+                # stream a concatenation, so the new rows continue it.
+                self._latency.extend(
+                    _store_rows([reader]), reader.wakeup_ts_pid_rows()
+                )
+                counters.latency_index_extends += 1
             counters.extends += 1
             counters.extend_s += elapsed
             total = sum(self._events_by_run.values())
@@ -391,6 +415,7 @@ class LiveSynthesizer:
 
     def _rebuild(self) -> None:
         counters = self.counters
+        self._latency = None
         started = perf_counter()
         readers = [self.store.open(run_id) for run_id in self._consumed]
         self._index = LiveStoreIndex.from_readers(readers)
@@ -400,6 +425,18 @@ class LiveSynthesizer:
         total = sum(self._events_by_run.values())
         if total:
             self._build_rate = elapsed / total
+
+    def latency_index(self) -> LatencyIndex:
+        """The latency index over the retained runs -- equal to
+        ``latency_index_from_store(store, run_ids=run_ids)``.  Built on
+        first use and kept up to date by in-order ingests; a rebuild or
+        an eviction drops it until the next request."""
+        if self._latency is None:
+            self._latency = latency_index_from_store(
+                self.store, run_ids=self._consumed
+            )
+            self.counters.latency_index_builds += 1
+        return self._latency
 
     def model(self) -> TimingDag:
         """The timing DAG over the retained runs -- byte-identical to

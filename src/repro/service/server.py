@@ -8,8 +8,10 @@ into the incrementally maintained model, and queries are answered from
 :class:`~repro.service.state.ServiceState` snapshots taken under the
 service lock.  The socket listener is thread-per-connection; ingest and
 snapshot-taking serialize on one lock, while snapshot *consumption*
-(model rendering, latency scans over immutable committed files) runs
-outside it.
+(model rendering, chain enumeration, store metadata) runs outside it.
+A ``latency`` query walks the latency index the live synthesizer keeps
+up to date on ingest; that index is mutable, so the walk holds the lock
+(it costs O(chain instances), not a re-read of the store).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .protocol import (
     recv_message,
     send_message,
 )
-from .state import MODEL_FORMATS, ServiceState
+from .state import MODEL_FORMATS, ServiceState, chain_latency_summary
 
 #: Default drop-dir / store re-scan cadence.
 DEFAULT_POLL_INTERVAL_S = 0.5
@@ -181,7 +183,9 @@ class SynthesisService:
             topics = payload.get("topics")
             if not topics:
                 raise ValueError("latency needs topics")
-            return {"ok": True, **self.state().latency_summary(topics)}, b""
+            with self._lock:
+                summary = chain_latency_summary(self.live.latency_index(), topics)
+            return {"ok": True, **summary}, b""
         if command == "store-info":
             return {"ok": True, **self.state().store_info()}, b""
         raise ValueError(f"unknown command {command!r}")

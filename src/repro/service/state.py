@@ -4,9 +4,17 @@ A :class:`ServiceState` is taken under the service lock at query time
 and then answers entirely without it: the run-id list is frozen, the
 timing DAG is the maintainer's already-built (cached) model, and any
 store reads go against committed segment files, which are immutable --
-the ingest worker only ever *adds* runs via atomic rename.  So a slow
-``latency`` scan or a large ``model`` export never blocks ingestion,
-and a segment that commits mid-query does not shear the answer.
+the ingest worker only ever *adds* runs via atomic rename.  So a large
+``model`` export never blocks ingestion, and a segment that commits
+mid-query does not shear the answer.
+
+The service's ``latency`` query does not use a snapshot.  It walks the
+latency index the :class:`~repro.service.live.LiveSynthesizer` keeps up
+to date on ingest; that index is mutable, so the service calls
+:func:`chain_latency_summary` on it while holding its lock, at
+O(chain instances) per query.  :meth:`ServiceState.latency_summary`
+stays for callers holding a snapshot: it streams the snapshot's runs
+from their segment files, O(stored events) per call.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.chains import Chain, enumerate_chains, format_chains
-from ..analysis.latency import chain_latencies
+from ..analysis.latency import LatencyIndex, chain_latencies
 from ..analysis.store import latency_index_from_store
 from ..core.dag import TimingDag
 from ..core.export import dag_to_json, format_edges, format_exec_table, to_dot
@@ -23,6 +31,25 @@ from ..store.database import TraceStore
 
 #: ``model`` query output formats.
 MODEL_FORMATS = ("dot", "json", "edges", "exec")
+
+
+def chain_latency_summary(
+    index: LatencyIndex, topics: Sequence[str]
+) -> Dict[str, Any]:
+    """Chain-latency stats for a topic chain over a built index (ns,
+    like the analysis CLI) -- the body of a ``latency`` reply."""
+    values = [latency.latency_ns for latency in chain_latencies(index, list(topics))]
+    summary: Dict[str, Any] = {
+        "topics": list(topics),
+        "count": len(values),
+    }
+    if values:
+        summary.update(
+            min_ns=min(values),
+            max_ns=max(values),
+            mean_ns=sum(values) / len(values),
+        )
+    return summary
 
 
 class ServiceState:
@@ -86,24 +113,11 @@ class ServiceState:
 
     def latency_summary(self, topics: Sequence[str]) -> Dict[str, Any]:
         """Chain-latency stats for a topic chain over exactly the
-        retained runs (ns, like the analysis CLI)."""
+        retained runs, streamed from their immutable segment files (the
+        service itself answers ``latency`` from its maintained index)."""
         store = TraceStore(self.directory, allow_empty=True)
         index = latency_index_from_store(store, run_ids=self.run_ids)
-        values = [
-            latency.latency_ns
-            for latency in chain_latencies(index, list(topics))
-        ]
-        summary: Dict[str, Any] = {
-            "topics": list(topics),
-            "count": len(values),
-        }
-        if values:
-            summary.update(
-                min_ns=min(values),
-                max_ns=max(values),
-                mean_ns=sum(values) / len(values),
-            )
-        return summary
+        return chain_latency_summary(index, topics)
 
     # -- inspection ---------------------------------------------------------
 

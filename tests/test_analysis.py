@@ -22,7 +22,8 @@ from repro.analysis import (
     suggest_binding,
     waiting_times,
 )
-from repro.core.index import CODE_CB_END, CODE_CB_START
+from repro.analysis.latency import _trace_rows
+from repro.core.index import CODE_CB_END, CODE_CB_START, CODE_DDS_WRITE
 from repro.apps import build_avp, build_syn
 from repro.core import DagVertex, TimingDag, synthesize_from_trace
 from repro.experiments import RunConfig, run_once
@@ -209,15 +210,82 @@ class TestLatencyIndex:
         assert index.window_containing(1, 5) is None
         assert index.window_containing(99, 15) is None
 
+    @staticmethod
+    def write_rows(writes, pid=1):
+        return [
+            (ts, pid, CODE_DDS_WRITE, {"topic": topic, "src_ts": ts})
+            for ts, topic in writes
+        ]
+
+    @staticmethod
+    def contents(index):
+        """Every lookup structure, for whole-index equality."""
+        return {
+            name: getattr(index, name)
+            for name in LatencyIndex.__slots__
+        }
+
     def test_unsorted_windows_are_defensively_sorted(self):
-        """Windows arriving out of start order (possible when per-run
-        streams are concatenated without a merge) must not break the
-        bisect lookup."""
-        rows = self.window_rows([(100, 200)]) + self.window_rows([(50, 80)])
+        """Windows and writes arriving out of timestamp order (possible
+        when per-run streams are concatenated without a merge) must not
+        break the bisect lookups."""
+        rows = (
+            self.window_rows([(100, 200)])
+            + self.write_rows([(150, "/a"), (160, "/b"), (170, "/a")])
+            + self.window_rows([(50, 80)])
+            + self.write_rows([(60, "/a"), (190, "/a")])
+        )
         index = LatencyIndex(rows)
         assert index.window_containing(1, 60) == (50, 80)
         assert index.window_containing(1, 150) == (100, 200)
         assert index.window_containing(1, 90) is None
+        # Stream order, not timestamp order, and every matching write.
+        assert index.writes_in(1, (100, 200), "/a") == [
+            (150, 150), (170, 170), (190, 190),
+        ]
+        assert index.writes_in(1, (50, 80), "/a") == [(60, 60)]
+        assert index.writes_in(1, (50, 80), "/b") == []
+        # The same stream extended in parts lands unsorted the same way.
+        split = LatencyIndex(rows[:4])
+        split.extend(rows[4:])
+        assert self.contents(split) == self.contents(index)
+
+    def test_sorted_writes_are_bisected_in_stream_order(self):
+        rows = self.window_rows([(10, 20), (30, 40)]) + self.write_rows(
+            [(12, "/a"), (15, "/b"), (20, "/a"), (25, "/a"), (30, "/a")]
+        )
+        rows.sort(key=lambda row: row[0])
+        index = LatencyIndex(rows)
+        assert index.writes_in(1, (10, 20), "/a") == [(12, 12), (20, 20)]
+        assert index.writes_in(1, (30, 40), "/a") == [(30, 30)]
+        assert index.writes_in(1, (21, 29), "/b") == []
+        assert index.writes_in(2, (0, 100), "/a") == []
+
+    def test_extend_in_parts_equals_one_build(self, avp_model):
+        """Building from a stream in parts -- CB windows open across a
+        part boundary, wakeup parts overlapping in time -- equals the
+        one-shot build, structure for structure."""
+        _, result = avp_model
+        trace = result.trace
+        rows = list(_trace_rows(trace))
+        wakeups = [(20, 7), (5, 7), (40, 8)]
+        whole = LatencyIndex(rows, sorted(wakeups))
+        parts = LatencyIndex(rows[:1])
+        cuts = [1, 7, len(rows) // 3, len(rows) // 2, len(rows)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            parts.extend(rows[lo:hi])
+        parts.extend((), [(20, 7)])
+        parts.extend((), [(5, 7), (40, 8)])
+        assert self.contents(parts) == self.contents(whole)
+        assert parts.wakeups(7) == [5, 20]
+        for pid in result.apps.pids:
+            for window in parts._windows.get(pid, [])[:50]:
+                for topic in {t for _, t, _ in parts._writes.get(pid, [])}:
+                    assert parts.writes_in(pid, window, topic) == [
+                        (ts, src_ts)
+                        for ts, write_topic, src_ts in parts._writes[pid]
+                        if window[0] <= ts <= window[1] and write_topic == topic
+                    ]
 
     def test_window_lookup_matches_linear_scan(self, avp_model):
         """The precomputed-starts bisect agrees with the O(W) reference

@@ -5,7 +5,10 @@ segments one at a time -- in run order or in shuffled arrival orders --
 is byte-identical (DAG JSON, exec tables, golden DOT) to a from-scratch
 ``synthesize_from_store`` over the same committed runs at *every*
 commit point, for every registry scenario; with a retention window, it
-matches the batch synthesis of the truncated store.  Plus the ingestion
+matches the batch synthesis of the truncated store.  The chain-latency
+index it keeps up to date on ingest equals the one streamed from the
+retained runs at every commit point too, and so do the served latency
+summaries.  Plus the ingestion
 edge: validation, atomic commits, drop-dir hold-then-reject, store
 refresh against a second writer process, and the spool's atomic
 ``finish_path``.
@@ -20,6 +23,8 @@ import zlib
 
 import pytest
 
+from repro.analysis.latency import LatencyIndex, chain_latencies
+from repro.analysis.store import latency_index_from_store
 from repro.core import dag_to_json, format_exec_table, to_dot
 from repro.experiments.batch import BatchConfig
 from repro.scenarios import scenario_names
@@ -34,6 +39,7 @@ from repro.service import (
     LiveSynthesizer,
     ServiceCounters,
 )
+from repro.service.state import chain_latency_summary
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 3
@@ -72,6 +78,59 @@ def sources(tmp_path_factory):
     return result
 
 
+@pytest.fixture(scope="module")
+def latency_chains(sources):
+    """Per scenario, every topic chain of one to three hops that has
+    instances over the whole source store."""
+    result = {}
+    for name, directory in sources.items():
+        index = latency_index_from_store(TraceStore(directory))
+        topics = sorted(topic for topic in index._writes_by_topic if topic)
+        chains = [[topic] for topic in topics]
+        for hops in (2, 3):
+            chains += [
+                chain + [topic]
+                for chain in chains
+                if len(chain) == hops - 1
+                for topic in topics
+                if topic not in chain and chain_latencies(index, chain + [topic])
+            ]
+        result[name] = chains
+    return result
+
+
+def _latency_contents(index):
+    """Every lookup structure of a latency index, for equality."""
+    return {name: getattr(index, name) for name in LatencyIndex.__slots__}
+
+
+def _batch_latency_summary(index, topics):
+    """A ``latency`` reply computed straight from batch latencies."""
+    values = [latency.latency_ns for latency in chain_latencies(index, topics)]
+    summary = {"topics": topics, "count": len(values)}
+    if values:
+        summary.update(
+            min_ns=min(values),
+            max_ns=max(values),
+            mean_ns=sum(values) / len(values),
+        )
+    return summary
+
+
+def _assert_latency_matches_batch(live, directory, chains, context):
+    """The maintained index equals the one streamed from the retained
+    runs, and the summaries the service serves from it equal batch
+    summaries over those runs."""
+    batch = latency_index_from_store(
+        TraceStore(directory), run_ids=live.run_ids
+    )
+    maintained = live.latency_index()
+    assert _latency_contents(maintained) == _latency_contents(batch), context
+    for topics in chains:
+        expected = _batch_latency_summary(batch, topics)
+        assert chain_latency_summary(maintained, topics) == expected, context
+
+
 def _deliver(source_dir, target_dir, run_id):
     """One segment 'arrives': its file appears in the target store."""
     name = run_id + SEGMENT_SUFFIX
@@ -82,7 +141,9 @@ class TestIncrementalEquivalence:
     """Incremental == batch, byte for byte, at every commit point."""
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_every_commit_point_matches_batch(self, sources, name, tmp_path):
+    def test_every_commit_point_matches_batch(
+        self, sources, latency_chains, name, tmp_path
+    ):
         run_ids = sorted(TraceStore(sources[name]).run_ids())
         for case, order in enumerate(_arrival_orders(name, run_ids)):
             target = str(tmp_path / f"order{case}")
@@ -93,6 +154,9 @@ class TestIncrementalEquivalence:
                 batch = synthesize_from_store(TraceStore(target), jobs=1)
                 assert _signature(live.model()) == _signature(batch), (
                     name, order, run_id,
+                )
+                _assert_latency_matches_batch(
+                    live, target, latency_chains[name], (name, order, run_id)
                 )
 
     def test_in_order_arrivals_never_rebuild(self, sources, tmp_path):
@@ -107,6 +171,27 @@ class TestIncrementalEquivalence:
         assert counters.rebuilds == 0
         assert counters.segments_ingested == RUNS
         assert counters.events_indexed > 0
+        # Never asked for latency: no latency index was built or fed.
+        assert counters.latency_index_builds == 0
+        assert counters.latency_index_extends == 0
+
+    def test_latency_index_builds_once_then_extends(self, sources, tmp_path):
+        """In-order arrivals with a latency query after each: one build
+        (the first query), then one extend per later arrival; the
+        queries themselves never build again."""
+        source = sources["syn"]
+        target = str(tmp_path / "latency")
+        counters = ServiceCounters()
+        live = LiveSynthesizer(TraceStore.create(target), counters=counters)
+        for run_id in sorted(TraceStore(source).run_ids()):
+            _deliver(source, target, run_id)
+            live.refresh()
+            live.latency_index()
+            live.latency_index()
+        assert counters.latency_index_builds == 1
+        assert counters.latency_index_extends == RUNS - 1
+        assert counters.as_dict()["latency_index_builds"] == 1
+        assert counters.as_dict()["latency_index_extends"] == RUNS - 1
 
     def test_out_of_order_arrival_rebuilds(self, sources, tmp_path):
         source = sources["syn"]
@@ -167,6 +252,46 @@ class TestEvictionWindow:
         assert "run000" in TraceStore(target)
         assert live.refresh() == []
         assert live.run_ids == run_ids[-2:]
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_eviction_keeps_latency_equal_to_retained_runs(
+        self, sources, latency_chains, name, tmp_path
+    ):
+        run_ids = sorted(TraceStore(sources[name]).run_ids())
+        for case, order in enumerate(_arrival_orders(name, run_ids)):
+            target = str(tmp_path / f"order{case}")
+            live = LiveSynthesizer(TraceStore.create(target), retain_window=2)
+            for run_id in order:
+                _deliver(sources[name], target, run_id)
+                live.refresh()
+                _assert_latency_matches_batch(
+                    live, target, latency_chains[name], (name, order, run_id)
+                )
+            assert live.run_ids == run_ids[-2:]
+
+    def test_eviction_costs_exactly_one_latency_build(self, sources, tmp_path):
+        source = sources["syn"]
+        run_ids = sorted(TraceStore(source).run_ids())
+        target = str(tmp_path / "window")
+        counters = ServiceCounters()
+        live = LiveSynthesizer(
+            TraceStore.create(target), retain_window=RUNS - 1, counters=counters
+        )
+        for run_id in run_ids[:-1]:
+            _deliver(source, target, run_id)
+            live.refresh()
+            live.latency_index()
+        assert (counters.latency_index_builds, counters.latency_index_extends) == (
+            1, RUNS - 2,
+        )
+        _deliver(source, target, run_ids[-1])
+        live.refresh()
+        assert counters.runs_evicted == 1
+        live.latency_index()
+        live.latency_index()
+        assert (counters.latency_index_builds, counters.latency_index_extends) == (
+            2, RUNS - 2,
+        )
 
 
 class TestIngestSpool:

@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from repro.analysis.store import measure_chain_latencies_from_store
 from repro.core import to_dot
 from repro.experiments.batch import BatchConfig
 from repro.sim.kernel import SEC
@@ -36,6 +37,24 @@ def source(tmp_path_factory):
         config=BatchConfig(duration_ns=DURATION_NS),
     )
     return directory
+
+
+def _batch_latency(directory, topics):
+    """The ``latency`` reply fields, from batch chain latencies over the
+    whole store."""
+    values = [
+        latency.latency_ns
+        for latency in measure_chain_latencies_from_store(
+            TraceStore(directory), topics
+        )
+    ]
+    return {
+        "topics": topics,
+        "count": len(values),
+        "min_ns": min(values),
+        "max_ns": max(values),
+        "mean_ns": sum(values) / len(values),
+    }
 
 
 def _segment_bytes(source, run_id):
@@ -114,6 +133,10 @@ class TestServiceEndToEnd:
             assert chains and all(chain for chain in chains)
             latency = client.latency(["/t1"])
             assert latency["count"] > 0 and latency["min_ns"] > 0
+            assert latency == _batch_latency(directory, ["/t1"])
+            counters = client.status()["counters"]
+            assert counters["latency_index_builds"] == 1
+            assert counters["latency_index_extends"] == 0
             info = client.store_info()
             assert [run["run_id"] for run in info["runs"]] == [
                 "run000", "run001", "run002",
@@ -148,9 +171,13 @@ class TestServiceEndToEnd:
         try:
             for run_id in ("run000", "run001", "run002"):
                 client.push_segment(run_id, _segment_bytes(source, run_id))
+                client.latency(["/t1"])
             status = client.status()
             assert status["retained_runs"] == ["run001", "run002"]
             assert status["counters"]["runs_evicted"] == 1
+            # Built, extended once, dropped by the eviction, rebuilt.
+            assert status["counters"]["latency_index_builds"] == 2
+            assert status["counters"]["latency_index_extends"] == 1
             truncated = str(tmp_path / "truncated")
             os.makedirs(truncated)
             for run_id in ("run001", "run002"):
@@ -160,7 +187,61 @@ class TestServiceEndToEnd:
                     handle.write(_segment_bytes(source, run_id))
             batch = synthesize_from_store(TraceStore(truncated), jobs=1)
             assert client.model("dot") == to_dot(batch)
+            assert client.latency(["/t1"]) == _batch_latency(truncated, ["/t1"])
         finally:
+            running.stop()
+
+    def test_latency_queries_race_ingest(self, source, tmp_path):
+        """Latency queries from several threads while segments arrive:
+        every reply is the batch answer over some prefix of the pushed
+        runs -- never a torn read of the index being extended."""
+        run_ids = sorted(TraceStore(source).run_ids())
+        prefixes = []
+        for count in range(len(run_ids) + 1):
+            prefix = str(tmp_path / f"prefix{count}")
+            os.makedirs(prefix)
+            for run_id in run_ids[:count]:
+                with open(
+                    os.path.join(prefix, run_id + ".trace.bin"), "wb"
+                ) as handle:
+                    handle.write(_segment_bytes(source, run_id))
+            prefixes.append(
+                _batch_latency(prefix, ["/t1"]) if count else
+                {"topics": ["/t1"], "count": 0}
+            )
+        running = _RunningService(str(tmp_path / "raced"))
+        pushed = threading.Event()
+        replies, errors = [], []
+
+        def query():
+            client = ServiceClient(running.address)
+            try:
+                while not pushed.is_set():
+                    replies.append(client.latency(["/t1"]))
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            queriers = [threading.Thread(target=query) for _ in range(3)]
+            for thread in queriers:
+                thread.start()
+            client = ServiceClient(running.address)
+            for run_id in run_ids:
+                client.push_segment(run_id, _segment_bytes(source, run_id))
+            pushed.set()
+            for thread in queriers:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+            assert not errors, errors
+            assert replies and all(reply in prefixes for reply in replies)
+            assert client.latency(["/t1"]) == prefixes[-1]
+            counters = client.status()["counters"]
+            assert counters["latency_index_builds"] == 1
+            assert counters["rebuilds"] == 0
+        finally:
+            sys.setswitchinterval(interval)
             running.stop()
 
 
@@ -253,7 +334,9 @@ class TestServiceCli:
         assert chains.returncode == 0 and "->" in chains.stdout
         latency = _cli("query", address, "latency", "--topics", "/t1")
         assert latency.returncode == 0
-        assert json.loads(latency.stdout)["count"] > 0
+        served = json.loads(latency.stdout)
+        assert served["count"] > 0
+        assert served == _batch_latency(directory, ["/t1"])
 
         shutdown = _cli("query", address, "shutdown")
         assert shutdown.returncode == 0
@@ -281,12 +364,16 @@ class TestStoreInfoWatch:
              "--watch", "--interval", "0.1", "--watch-count", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
+        # The writer starts only once the empty store has been listed;
+        # started together, it can commit before the first listing.
+        first = watch.stdout.readline()
         writer = subprocess.Popen(
             [sys.executable, "-m", "repro", "record", "syn",
              "--runs", "1", "--duration", "1", "--out", directory],
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        out, _ = watch.communicate(timeout=90)
+        rest, _ = watch.communicate(timeout=90)
+        out = first + rest
         assert writer.wait(timeout=90) == 0
         assert watch.returncode == 0
         assert out.count("trace store") == 2
