@@ -39,7 +39,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..core.dag import TimingDag
 from ..core.pipeline import STRATEGY_MERGE_TRACES
 from ..store.database import StoreLike, as_store
-from ..store.index import _runs_are_time_ordered
+from ..store.index import merged_walk_rows
 from ..store.synthesis import synthesize_from_store
 from .chains import Chain, enumerate_chains
 from .jitter import ActivationModel, activation_models
@@ -63,15 +63,7 @@ def _store_rows(
     the ID-carrying rows, and ordering matches ``Trace.merge`` exactly
     (ties keep run-id order via the ``(ts, order, row)`` int prefix).
     """
-    if _runs_are_time_ordered(readers):
-        for order, reader in enumerate(readers):
-            for ts, _order, _row, pid, code, aux in reader.walk_rows(order):
-                if pids is None or pid in pids:
-                    yield ts, pid, code, aux
-        return
-    streams = [reader.walk_rows(order) for order, reader in enumerate(readers)]
-    rows = streams[0] if len(streams) == 1 else _heap_merge(*streams)
-    for ts, _order, _row, pid, code, aux in rows:
+    for ts, _order, _row, pid, code, aux in merged_walk_rows(readers):
         if pids is None or pid in pids:
             yield ts, pid, code, aux
 

@@ -7,7 +7,9 @@ container replaying committed stores should work from the standard
 library alone.  Every consumer therefore imports ``np`` from here and
 branches on ``np is None``, falling back to the original
 ``array``/``bisect`` per-row loops (kept byte-identical by the
-equivalence suites, which run under both modes).
+equivalence suites, which run under both modes).  For the store index
+the fallback is its single row consumer over ``walk_rows``, the same
+loop that serves v1 segments, small segments and gzip-JSON runs.
 
 ``REPRO_NO_NUMPY=1`` force-disables numpy even when importable -- the
 hook the CI fallback job (and the no-numpy tests) use to exercise the

@@ -613,8 +613,9 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
     """Live-service maintenance cost per arriving segment.
 
     Both sides commit the identical pre-encoded segments one at a time
-    and produce a model after every commit; the incremental side folds
-    each arrival into the maintained :class:`LiveStoreIndex`, the
+    and produce a model after every commit; the incremental side
+    extends the maintained :class:`~repro.store.index.StoreTraceIndex`
+    with each arrival, the
     rebuild side re-runs ``synthesize_from_store`` from scratch -- what
     a query-after-every-arrival service would cost without the
     incremental layer.  Encoding and simulation stay outside the timed

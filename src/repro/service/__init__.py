@@ -7,8 +7,9 @@ into a long-running ingest + query system, in four layers:
   validates and atomically commits ``.trace.bin`` segments arriving
   over the socket or a watched drop directory;
 * **incremental maintenance** (:mod:`~repro.service.live`):
-  :class:`LiveStoreIndex` / :class:`LiveSynthesizer` fold each commit
-  into the maintained walk columns, cross-node tables, sched buckets
+  :class:`LiveSynthesizer` extends one resumable
+  :class:`~repro.store.index.StoreTraceIndex` per commit -- the
+  maintained walk columns, cross-node tables, sched buckets
   and (once asked for latency) chain-latency index -- byte-identical to
   a from-scratch ``synthesize_from_store`` / ``latency_index_from_store``
   at every commit point, with windowed eviction for unbounded streams;
@@ -30,7 +31,7 @@ Quickstart::
 
 from .client import ServiceClient, ServiceError
 from .ingest import DropDirWatcher, IngestError, IngestResult, IngestSpool
-from .live import LiveStoreIndex, LiveSynthesizer, ServiceCounters
+from .live import LiveSynthesizer, ServiceCounters
 from .protocol import ProtocolError, parse_address
 from .server import DEFAULT_POLL_INTERVAL_S, SynthesisService
 from .state import MODEL_FORMATS, ServiceState
@@ -42,7 +43,6 @@ __all__ = [
     "IngestError",
     "IngestResult",
     "IngestSpool",
-    "LiveStoreIndex",
     "LiveSynthesizer",
     "ServiceCounters",
     "ProtocolError",

@@ -7,8 +7,8 @@
 a file dropped by another process) and commits them into a
 :class:`~repro.store.database.TraceStore`.  Every commit fully
 structurally validates the bytes first (header magic/version/counts,
-section directory bounds, stream integrity -- by constructing a
-:class:`~repro.store.reader.SegmentReader` over them) and lands via a
+section directory bounds, every stream inflated and length-checked --
+:meth:`~repro.store.reader.SegmentReader.validate`) and lands via a
 same-directory tmp file + ``os.replace``, so concurrent store readers
 never observe a partial or malformed segment.
 
@@ -81,11 +81,10 @@ class IngestSpool:
         try:
             header = unpack_header(data, source=f"<ingest:{run_id}>")
             # Constructing a reader bounds-checks the section directory
-            # and stream layout beyond the fixed header; touching the
-            # ROS ts range additionally inflates the walk hot path's
-            # first section, so a corrupt stream fails here, not later
-            # inside synthesis.
-            SegmentReader(data, path=f"<ingest:{run_id}>").ros_ts_range()
+            # and stream layout beyond the fixed header; validate()
+            # inflates every section, so a corrupt stream fails here,
+            # not later halfway through a live index extend.
+            SegmentReader(data, path=f"<ingest:{run_id}>").validate()
         except StoreFormatError as error:
             raise IngestError(str(error)) from None
         version, _flags, _n_strings, _n_pids, n_ros, n_sched, n_wakeup = header[:7]

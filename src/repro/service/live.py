@@ -1,31 +1,21 @@
-"""Incremental model maintenance: the append-aware store index.
+"""Incremental model maintenance over a resumable store index.
 
-The batch pipeline rebuilds :class:`~repro.store.index.StoreTraceIndex`
+The batch pipeline builds a :class:`~repro.store.index.StoreTraceIndex`
 from every stored segment on each synthesis.  The live service instead
-maintains one :class:`LiveStoreIndex` across segment arrivals:
-``extend(reader)`` consumes exactly one more segment's columns with the
-association state machine's mutable state (`current_cb`, pending P13
-rows, the running stream position, bound walk-column appenders)
-persisted between calls -- so consuming segments one at a time *is* the
-batch build's per-reader loop, just spread over time, and the resulting
+keeps one index across segment arrivals: ``StoreTraceIndex.extend``
+consumes exactly one more segment with the association state persisted
+on the index, which *is* the batch constructor's per-reader step, so the
 walk columns, cross-node tables and sched buckets are byte-identical to
 a from-scratch build at every commit point.
 
-``extend`` is only valid while arrivals keep the batch fast-path
+``extend`` is only valid while arrivals keep the batch concatenation
 invariant (run ids ascending, ROS time-ranges disjoint in that order --
-:func:`~repro.store.index._runs_are_time_ordered` evaluated
-incrementally).  An out-of-order or time-overlapping arrival, and any
-retention-window eviction, falls back to a full rebuild over the
-retained readers (:meth:`LiveStoreIndex.from_readers` -- the exact
-batch constructor path, including the k-way heap merge for overlapping
-runs).  :class:`LiveSynthesizer` makes that policy decision per
-arriving segment and tracks the observability counters.
-
-Sched buckets are always extendable regardless of ROS ordering: the
-per-reader buckets fold left with a stable 2-way timestamp merge, which
-yields the same sequences as the batch n-way ``heapq.merge`` (ties
-prefer the earlier reader in both), with a cheap append fast path when
-the arriving bucket starts at-or-after the existing tail.
+``StoreTraceIndex.can_append``).  An out-of-order or time-overlapping
+arrival, and any retention-window eviction, falls back to a full
+rebuild over the retained readers (the batch constructor itself,
+including the k-way merge for overlapping runs).
+:class:`LiveSynthesizer` makes that policy decision per arriving
+segment and tracks the observability counters.
 
 The chain-latency :class:`~repro.analysis.latency.LatencyIndex` follows
 the same policy, lazily: built from the retained readers on the first
@@ -36,205 +26,18 @@ concatenation too), and dropped by a rebuild or an eviction.
 
 from __future__ import annotations
 
-from array import array
 from bisect import insort
 from dataclasses import dataclass
-from heapq import merge as _heap_merge
-from operator import itemgetter
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..analysis.latency import LatencyIndex
 from ..analysis.store import _store_rows, latency_index_from_store
-from ..core import npcompat
 from ..core.dag import TimingDag
-from ..core.exec_time import _CLOSES, _OPENS, SchedIndex
-from ..core.extraction import EventIndex, _extract_pid_walk
 from ..core.synthesis import synthesize_dag
 from ..store.database import TraceStore
-from ..store.index import StoreTraceIndex, _runs_are_time_ordered
-
-
-class LiveStoreIndex(StoreTraceIndex):
-    """A :class:`StoreTraceIndex` that grows one segment at a time.
-
-    Starts empty; :meth:`extend` appends one reader's stream as the next
-    run of the merge order.  All consumption goes through the parent's
-    ``_consume_*`` loops (scalar and vectorized), so the maintained
-    structures match the batch build bit for bit -- the property the
-    service equivalence suite pins for every registry scenario.
-    """
-
-    __slots__ = (
-        "_current_cb",
-        "_pending_p13",
-        "_appenders",
-        "_next_index",
-        "_last_ros_end",
-        "_ordered",
-        "_sched_buckets",
-    )
-
-    def __init__(self):  # pylint: disable=super-init-not-called
-        # Deliberately does not call the batch constructor: a live index
-        # starts with zero readers and accretes them via extend().
-        self.pid_map: Dict[int, Optional[str]] = {}
-        self._by_pid: Dict[int, Tuple[List[int], bytearray, List[Any]]] = {}
-        self.writes: Dict[Any, List[Tuple[int, Any]]] = {}
-        self.writer_cb: Dict[int, Optional[str]] = {}
-        self.take_responses: Dict[Any, List[Tuple[int, Any]]] = {}
-        self.dispatch_after: Dict[int, bool] = {}
-        # Association state threaded through the batch build's
-        # per-reader loop, persisted here between extends.
-        self._current_cb: Dict[int, Optional[str]] = {}
-        self._pending_p13: Dict[int, List[int]] = {}
-        self._appenders: Dict[int, tuple] = {}
-        self._next_index = 0
-        #: ROS ts upper bound of the last extended segment with any ROS
-        #: events -- the rolling bound _runs_are_time_ordered tracks.
-        self._last_ros_end: Optional[int] = None
-        #: False once built over time-overlapping runs (heap-merged
-        #: positions are not resumable, so every later arrival rebuilds).
-        self._ordered = True
-        self._sched_buckets: Dict[int, Tuple[array, bytearray]] = {}
-        self.sched = SchedIndex.from_buckets(self._sched_buckets)
-
-    @classmethod
-    def from_readers(cls, readers: Sequence[Any]) -> "LiveStoreIndex":
-        """Full (re)build over ``readers`` in run-id order -- the batch
-        constructor path, landing in a resumable live index when the
-        runs keep the time-ordered invariant."""
-        index = cls()
-        for reader in readers:
-            index.pid_map.update(reader.pid_map)
-        if _runs_are_time_ordered(readers):
-            for reader in readers:
-                index._extend_ros(reader)
-        else:
-            index._ordered = False
-            streams = [
-                reader.walk_rows(order) for order, reader in enumerate(readers)
-            ]
-            rows = streams[0] if len(streams) == 1 else _heap_merge(*streams)
-            index._next_index = index._consume_rows(
-                rows, None, 0, index._current_cb, index._pending_p13,
-                index._appenders,
-            )
-        for reader in readers:
-            index._extend_sched_buckets(reader)
-        index.sched = SchedIndex.from_buckets(index._sched_buckets)
-        return index
-
-    # -- appending ---------------------------------------------------------
-
-    def can_append(self, reader: Any) -> bool:
-        """True when ``reader``'s stream may extend this index in place
-        (the caller has already established run-id order): the index
-        was never heap-merged, and the reader's ROS span starts at or
-        after the last consumed span's end -- the incremental form of
-        :func:`_runs_are_time_ordered` (a shared boundary timestamp
-        stays appendable, merge ties keep run order)."""
-        if not self._ordered:
-            return False
-        span = reader.ros_ts_range()
-        if span is None or self._last_ros_end is None:
-            return True
-        return span[0] >= self._last_ros_end
-
-    def extend(self, reader: Any) -> None:
-        """Consume one more segment as the next run of the merge order.
-
-        Caller contract: ``can_append(reader)`` holds and the reader's
-        run id sorts after every previously extended run.
-        """
-        self.pid_map.update(reader.pid_map)
-        self._extend_ros(reader)
-        self._extend_sched_buckets(reader)
-        # from_buckets copies only the dict (the column arrays are
-        # shared), so regenerating the SchedIndex view per commit is
-        # O(pids), not O(rows).
-        self.sched = SchedIndex.from_buckets(self._sched_buckets)
-
-    def _extend_ros(self, reader: Any) -> None:
-        """One reader through the batch fast-path dispatch, resuming
-        the persisted association state."""
-        fastpath = getattr(reader, "walk_fastpath", None)
-        if fastpath is None:
-            self._next_index = self._consume_rows(
-                reader.walk_rows(0), None, self._next_index,
-                self._current_cb, self._pending_p13, self._appenders,
-            )
-        else:
-            kind, columns = fastpath()
-            if kind >= 2:
-                self._next_index = self._consume_columns_v2(
-                    columns, None, self._next_index, self._current_cb,
-                    self._pending_p13, self._appenders,
-                )
-            else:
-                self._next_index = self._consume_columns(
-                    columns, None, self._next_index, self._current_cb,
-                    self._pending_p13, self._appenders,
-                )
-        span = reader.ros_ts_range()
-        if span is not None:
-            self._last_ros_end = span[1]
-
-    def _extend_sched_buckets(self, reader: Any) -> None:
-        """Fold one reader's per-PID sched buckets into the maintained
-        ones: plain append when the arriving bucket starts at-or-after
-        the existing tail (ties append after, matching merge tie order),
-        else a stable 2-way timestamp merge -- the left fold of which
-        equals the batch n-way merge."""
-        local = self._reader_sched_buckets(reader)
-        buckets = self._sched_buckets
-        for pid, bucket in local.items():
-            existing = buckets.get(pid)
-            if existing is None:
-                buckets[pid] = bucket
-            elif not existing[0] or bucket[0][0] >= existing[0][-1]:
-                existing[0].extend(bucket[0])
-                existing[1].extend(bucket[1])
-            else:
-                times = array("q")
-                flags = bytearray()
-                for ts, flag in _heap_merge(
-                    zip(*existing), zip(*bucket), key=itemgetter(0)
-                ):
-                    times.append(ts)
-                    flags.append(flag)
-                buckets[pid] = (times, flags)
-
-    @staticmethod
-    def _reader_sched_buckets(
-        reader: Any,
-    ) -> Dict[int, Tuple[array, bytearray]]:
-        """One reader's per-PID buckets -- the per-reader half of the
-        batch ``_build_sched``, unfiltered."""
-        columns = (
-            getattr(reader, "sched_pid_columns", None)
-            if npcompat.np is not None
-            else None
-        )
-        if columns is not None:
-            return StoreTraceIndex._sched_buckets_np(columns(), None)
-        local: Dict[int, Tuple[array, bytearray]] = {}
-        for ts, prev_pid, next_pid in reader.sched_pid_rows():
-            if prev_pid != 0:
-                bucket = local.get(prev_pid)
-                if bucket is None:
-                    bucket = local[prev_pid] = (array("q"), bytearray())
-                bucket[0].append(ts)
-                bucket[1].append(
-                    _CLOSES | _OPENS if next_pid == prev_pid else _CLOSES
-                )
-            if next_pid != 0 and next_pid != prev_pid:
-                bucket = local.get(next_pid)
-                if bucket is None:
-                    bucket = local[next_pid] = (array("q"), bytearray())
-                bucket[0].append(ts)
-                bucket[1].append(_OPENS)
-        return local
+from ..store.index import StoreTraceIndex
+from ..store.synthesis import _cblists_from_index
 
 
 @dataclass
@@ -282,7 +85,7 @@ class ServiceCounters:
 class LiveSynthesizer:
     """Incrementally maintained store synthesis.
 
-    Owns a :class:`LiveStoreIndex` over the runs of ``store`` consumed
+    Owns a :class:`~repro.store.index.StoreTraceIndex` over the runs of ``store`` consumed
     so far and decides, per arriving run, between the in-place
     ``extend`` (arrival keeps run-id + time order) and a full rebuild
     (out-of-order arrival, time overlap, or retention eviction).
@@ -323,7 +126,7 @@ class LiveSynthesizer:
         #: refresh() must not re-ingest an evicted run's on-disk file.
         self._seen: set = set()
         self._events_by_run: Dict[str, int] = {}
-        self._index = LiveStoreIndex()
+        self._index = StoreTraceIndex([])
         #: the chain-latency index over the retained runs; built on the
         #: first latency request, then extended with each appended run.
         self._latency: Optional[LatencyIndex] = None
@@ -337,7 +140,7 @@ class LiveSynthesizer:
         return list(self._consumed)
 
     @property
-    def index(self) -> LiveStoreIndex:
+    def index(self) -> StoreTraceIndex:
         return self._index
 
     def refresh(self) -> List[str]:
@@ -418,7 +221,7 @@ class LiveSynthesizer:
         self._latency = None
         started = perf_counter()
         readers = [self.store.open(run_id) for run_id in self._consumed]
-        self._index = LiveStoreIndex.from_readers(readers)
+        self._index = StoreTraceIndex(readers)
         elapsed = perf_counter() - started
         counters.rebuilds += 1
         counters.rebuild_s += elapsed
@@ -444,18 +247,7 @@ class LiveSynthesizer:
         Cached until the next ingest."""
         if self._dag is None:
             index = self._index
-            wanted = sorted(index.pid_map)
-            event_index = EventIndex(trace_index=index)
-            pid_map = index.pid_map
-            cblists = []
-            for pid in wanted:
-                timestamps, codes, aux = index.walk_for_pid(pid)
-                cblists.append(
-                    _extract_pid_walk(
-                        pid, timestamps, codes, aux, index.sched, event_index,
-                        pid_map.get(pid, ""),
-                    )
-                )
+            cblists = _cblists_from_index(index, sorted(index.pid_map))
             self._dag = synthesize_dag(
                 cblists,
                 split_services=self.split_services,

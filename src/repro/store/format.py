@@ -102,8 +102,9 @@ them (tiny sections), so every stream stays self-describing.
 What the directory buys readers is *section-selective I/O*:
 ``peek_header`` still reads the fixed header only, ``read_pid_map``
 seeks straight to the pid_map stream and inflates nothing else, and the
-Alg. 1 walk (``walk_rows`` / ``walk_fastpath``) touches the ros columns
-and only the payload columns of the shapes it actually dereferences --
+Alg. 1 walk (``walk_rows``, or ``walk_fastpath`` for the vectorized
+index consumer) touches the ros columns and only the payload columns
+of the shapes it actually dereferences --
 sched columns beyond ``(ts, prev_pid, next_pid)`` and the wakeup
 section never inflate during synthesis.  An uncompressed v3 segment
 (``comp`` 0 everywhere) is the mmap-friendly layout the store's

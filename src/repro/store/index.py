@@ -6,6 +6,14 @@ cross-node association tables, built by consuming
 :class:`~repro.store.reader.SegmentReader` columns directly instead of
 a merged list of :class:`~repro.tracing.events.TraceEvent` objects.
 
+The index is resumable.  The association state machine's mutable state
+(the active CB per PID, pending P13 rows, the running stream position,
+bound walk-column appenders) lives on the index, so :meth:`extend`
+consumes one more run as the next run of the merge order.  The batch
+constructor is just ``extend`` per reader, and the live service keeps
+one index and extends it per arriving segment -- both build the same
+structures by construction.
+
 What makes it cheap:
 
 * probe codes resolve through a per-segment table keyed by the stored
@@ -13,14 +21,16 @@ What makes it cheap:
 * payloads are touched only for the ID-carrying rows Alg. 1
   dereferences (publish / take / response keys --
   :data:`~repro.core.index.PAYLOAD_CODES`); CB start/end and kernel
-  probe rows -- the bulk of a trace -- never construct an event object.
-  For format-v2 segments even the ID rows never see JSON:
-  ``cb_id``/``topic``/``src_ts`` resolve from the segment's typed
-  per-field columns, bulk-decoded once per payload shape (v1 segments
-  keep the lazy per-distinct-payload JSON scan);
-* the k-way merge across runs orders ``(ts, run, row)`` int prefixes,
-  so ties keep run order (exactly like ``Trace.merge``) without a heap
-  key function;
+  probe rows -- the bulk of a trace -- never construct an event object;
+* large format-v2/v3 segments take the vectorized column consumer
+  (numpy), whose ID rows resolve from the segment's typed per-field
+  payload columns, bulk-decoded once per payload shape.  Every other
+  run -- v1 segments, small segments, gzip-JSON runs, numpy gated off
+  -- goes through the one scalar consumer over ``walk_rows``;
+* time-disjoint runs concatenate; overlapping runs k-way merge on
+  ``(ts, run, row)`` int prefixes (:func:`merged_walk_rows`), so ties
+  keep run order (exactly like ``Trace.merge``) without a heap key
+  function;
 * ``sched_switch`` rows feed shard-local
   :class:`~repro.core.exec_time.SchedIndex` buckets built from three
   int columns -- only the ``wanted_pids`` a worker will actually query
@@ -39,8 +49,9 @@ from __future__ import annotations
 
 from array import array
 from heapq import merge as _heap_merge
+from itertools import chain
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core import npcompat
 from ..core.exec_time import _CLOSES, _OPENS, SchedIndex
@@ -59,6 +70,9 @@ from .format import SHAPE_JSON
 #: slot (CB-type label / decoded payload / None) -- parallel sequences
 #: consumed by :func:`~repro.core.extraction._extract_pid_walk`.
 WalkColumns = Tuple[List[int], bytearray, List[Any]]
+
+#: One PID's sched bucket: timestamps and open/close flags.
+SchedBucket = Tuple[array, bytearray]
 
 _EMPTY_WALK: WalkColumns = ([], bytearray(), [])
 
@@ -79,6 +93,83 @@ def _runs_are_time_ordered(readers: Sequence[Any]) -> bool:
     return True
 
 
+def merged_walk_rows(readers: Sequence[Any]) -> Iterator[tuple]:
+    """Chronological ``walk_rows`` over runs in run-id order.
+
+    Time-disjoint runs (the common case: seeded batch runs stagger
+    their clock bases) concatenate; overlapping runs k-way merge.  The
+    ``(ts, order, row)`` int prefixes are unique, so plain tuple
+    comparison merges chronologically with ties in run order and the
+    aux slot is never compared -- the ``Trace.merge`` order either way.
+    """
+    streams = [reader.walk_rows(order) for order, reader in enumerate(readers)]
+    if _runs_are_time_ordered(readers):
+        return chain.from_iterable(streams)
+    return _heap_merge(*streams)
+
+
+def run_sched_buckets(
+    reader: Any, wanted: Optional[frozenset]
+) -> Dict[int, SchedBucket]:
+    """One reader's per-PID ``(timestamps, flags)`` sched buckets.
+
+    ``prev_pid`` closes (a self-switch ``next == prev`` closes *and*
+    opens in one entry), ``next_pid`` alone opens; rows keep stream
+    order.  With numpy, three boolean masks per PID over the whole int
+    columns replace the per-row branches and select the same rows in
+    the same order.  Only PIDs with entries get a bucket.
+    """
+    np = npcompat.np
+    columns = getattr(reader, "sched_pid_columns", None)
+    local: Dict[int, SchedBucket] = {}
+    if np is None or columns is None:
+        for ts, prev_pid, next_pid in reader.sched_pid_rows():
+            if prev_pid != 0 and (wanted is None or prev_pid in wanted):
+                bucket = local.get(prev_pid)
+                if bucket is None:
+                    bucket = local[prev_pid] = (array("q"), bytearray())
+                bucket[0].append(ts)
+                bucket[1].append(
+                    _CLOSES | _OPENS if next_pid == prev_pid else _CLOSES
+                )
+            if (
+                next_pid != 0
+                and next_pid != prev_pid
+                and (wanted is None or next_pid in wanted)
+            ):
+                bucket = local.get(next_pid)
+                if bucket is None:
+                    bucket = local[next_pid] = (array("q"), bytearray())
+                bucket[0].append(ts)
+                bucket[1].append(_OPENS)
+        return local
+    ts_col, prev_col, next_col = columns()
+    ts_np = np.frombuffer(ts_col, dtype=np.int64)
+    prev_np = np.frombuffer(prev_col, dtype=np.int32)
+    next_np = np.frombuffer(next_col, dtype=np.int32)
+    if wanted is None:
+        pids = np.unique(np.concatenate((prev_np, next_np))).tolist()
+    else:
+        pids = sorted(wanted)
+    both = _CLOSES | _OPENS
+    for pid in pids:
+        if pid == 0:
+            continue
+        closes = prev_np == pid
+        rows = np.nonzero(closes | (next_np == pid))[0]
+        if not len(rows):
+            continue
+        flags = np.where(
+            closes[rows],
+            np.where(next_np[rows] == pid, both, _CLOSES),
+            _OPENS,
+        ).astype(np.uint8)
+        times = array("q")
+        times.frombytes(ts_np[rows].tobytes())
+        local[pid] = (times, bytearray(flags.tobytes()))
+    return local
+
+
 class StoreTraceIndex:
     """Alg. 1 lookup structures built from stored segment columns.
 
@@ -86,7 +177,8 @@ class StoreTraceIndex:
     ----------
     readers:
         Segment readers in run-id order (the merge order), from
-        :meth:`~repro.store.database.TraceStore.readers`.
+        :meth:`~repro.store.database.TraceStore.readers`; ``[]`` starts
+        an empty index to grow with :meth:`extend`.
     wanted_pids:
         PIDs whose walk columns and sched buckets to build (a worker's
         shard); the cross-node tables always cover the full stream --
@@ -109,6 +201,14 @@ class StoreTraceIndex:
         "writer_cb",
         "take_responses",
         "dispatch_after",
+        "_wanted",
+        "_current_cb",
+        "_pending_p13",
+        "_appenders",
+        "_next_index",
+        "_last_ros_end",
+        "_ordered",
+        "_sched_buckets",
     )
 
     def __init__(
@@ -116,266 +216,127 @@ class StoreTraceIndex:
         readers: Sequence[Any],
         wanted_pids: Optional[Iterable[int]] = None,
     ):
-        pid_map: Dict[int, Optional[str]] = {}
-        for reader in readers:
-            pid_map.update(reader.pid_map)
-        self.pid_map = pid_map
-        wanted = None if wanted_pids is None else frozenset(wanted_pids)
-        self._build_ros(readers, wanted)
-        self.sched = self._build_sched(readers, wanted)
-
-    # -- ROS stream: walk columns + cross-node tables ----------------------
-
-    def _build_ros(
-        self, readers: Sequence[Any], wanted: Optional[frozenset]
-    ) -> None:
+        self.pid_map: Dict[int, Optional[str]] = {}
         self._by_pid: Dict[int, WalkColumns] = {}
         self.writes: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         self.writer_cb: Dict[int, Optional[str]] = {}
         self.take_responses: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         self.dispatch_after: Dict[int, bool] = {}
-        if not readers:
-            return
-
-        current_cb: Dict[int, Optional[str]] = {}
-        pending_p13: Dict[int, List[int]] = {}
+        self._wanted = None if wanted_pids is None else frozenset(wanted_pids)
+        # The association state machine's mutable state, persisted
+        # between extends.
+        self._current_cb: Dict[int, Optional[str]] = {}
+        self._pending_p13: Dict[int, List[int]] = {}
         #: pid -> bound (ts, code, aux) append methods of the pid's walk
-        #: columns, so the per-row hot loops skip attribute lookups.
-        appenders: Dict[int, tuple] = {}
+        #: columns, so the per-row hot loop skips attribute lookups.
+        self._appenders: Dict[int, tuple] = {}
+        #: position of the next row in the merged stream.
+        self._next_index = 0
+        #: ROS ts upper bound of the last extended run with any ROS
+        #: events -- the rolling bound _runs_are_time_ordered tracks.
+        self._last_ros_end: Optional[int] = None
+        #: False once built over time-overlapping runs (heap-merged
+        #: positions are not resumable, so the index cannot extend).
+        self._ordered = True
+        self._sched_buckets: Dict[int, SchedBucket] = {}
+        self.sched = SchedIndex.from_buckets(self._sched_buckets)
         if _runs_are_time_ordered(readers):
-            # The common case: seeded batch runs stagger their clock
-            # bases, so run streams are time-disjoint in run-id order
-            # and the chronological merge is plain concatenation --
-            # each segment's columns feed one tight index loop with no
-            # heap and no per-row generator frames or tuples.
-            index = 0
             for reader in readers:
-                fastpath = getattr(reader, "walk_fastpath", None)
-                if fastpath is None:
-                    index = self._consume_rows(
-                        reader.walk_rows(0), wanted, index, current_cb,
-                        pending_p13, appenders,
-                    )
-                    continue
-                kind, columns = fastpath()
-                if kind >= 2:
-                    index = self._consume_columns_v2(
-                        columns, wanted, index, current_cb, pending_p13,
-                        appenders,
-                    )
-                else:
-                    index = self._consume_columns(
-                        columns, wanted, index, current_cb, pending_p13,
-                        appenders,
-                    )
-        else:
-            # Overlapping runs: k-way merge of per-reader row streams.
-            # The (ts, order, row) int prefixes are unique, so plain
-            # tuple comparison merges chronologically with ties in run
-            # order and the aux slot is never compared.
-            streams = [
-                reader.walk_rows(order) for order, reader in enumerate(readers)
-            ]
-            rows = streams[0] if len(streams) == 1 else _heap_merge(*streams)
-            self._consume_rows(rows, wanted, 0, current_cb, pending_p13, appenders)
+                self.extend(reader)
+            return
+        self._ordered = False
+        self._consume_rows(merged_walk_rows(readers))
+        for reader in readers:
+            self.pid_map.update(reader.pid_map)
+            self._fold_sched(reader)
+        self.sched = SchedIndex.from_buckets(self._sched_buckets)
 
-    # The three _consume_* bodies are the same association state machine
-    # as TraceIndex._build (positional indices of the merged stream),
-    # duplicated only for the per-row access pattern: v1 column indexing
-    # (JSON-interned payloads), v2 column indexing (typed shape
-    # columns), and pre-assembled row tuples.  The store equivalence
-    # suites pin all of them against the in-memory pipeline.
+    # -- appending ---------------------------------------------------------
 
-    def _walk_appender(self, appenders: Dict[int, tuple], pid: int) -> tuple:
-        """First-row setup of a PID's walk columns + bound appends.
+    def can_append(self, reader: Any) -> bool:
+        """True when ``reader``'s stream may extend this index in place
+        (the caller has already established run-id order): the index
+        was never heap-merged, and the reader's ROS span starts at or
+        after the last consumed span's end -- the incremental form of
+        :func:`_runs_are_time_ordered` (a shared boundary timestamp
+        stays appendable, merge ties keep run order)."""
+        if not self._ordered:
+            return False
+        span = reader.ros_ts_range()
+        if span is None or self._last_ros_end is None:
+            return True
+        return span[0] >= self._last_ros_end
 
-        Reuses columns an earlier (possibly vectorized) reader pass
-        already created for the PID -- a mixed-version store interleaves
-        consumers, and they all must extend the same columns."""
-        walk = self._by_pid.get(pid)
-        if walk is None:
-            walk = self._by_pid[pid] = ([], bytearray(), [])
-        bound = appenders[pid] = (
-            walk[0].append, walk[1].append, walk[2].append,
-        )
-        return bound
+    def extend(self, reader: Any) -> None:
+        """Consume one more run as the next run of the merge order.
 
-    def _consume_columns(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        (
-            ts_col, pid_col, probe_col, data_col,
-            codes, start_types, payload_cache, payload,
-        ) = columns
-        cached_payload = payload_cache.get
-        writes = self.writes
-        writer_cb = self.writer_cb
-        take_responses = self.take_responses
-        dispatch_after = self.dispatch_after
-        all_wanted = wanted is None
-        for ts, pid, string_id, data_id in zip(
-            ts_col, pid_col, probe_col, data_col
-        ):
-            code = codes[string_id]
-            aux: Any = None
-            if code >= CODE_TIMER_CALL:
-                if code <= CODE_TAKE_TYPE_ERASED:
-                    aux = cached_payload(data_id)
-                    if aux is None:
-                        aux = payload(data_id)
-                    if code <= CODE_TAKE_RESPONSE:
-                        current_cb[pid] = aux.get("cb_id")
-                        if code == CODE_TAKE_RESPONSE:
-                            pending_p13.setdefault(pid, []).append(index)
-                            key = (aux.get("topic"), aux.get("src_ts"))
-                            take_responses.setdefault(key, []).append((index, aux))
-                    elif code == CODE_DDS_WRITE:
-                        writer_cb[index] = current_cb.get(pid)
-                        key = (aux.get("topic"), aux.get("src_ts"))
-                        writes.setdefault(key, []).append((index, aux))
-                    else:
-                        will_dispatch = bool(aux.get("will_dispatch"))
-                        for p13_index in pending_p13.pop(pid, ()):
-                            dispatch_after[p13_index] = will_dispatch
-            elif code == CODE_CB_START:
-                current_cb[pid] = None
-                aux = start_types[string_id]
-            if code and (all_wanted or pid in wanted):
-                # code-0 rows are no-ops to the Alg. 1 walk and never
-                # enter walk columns (matching the vectorized path).
-                try:
-                    append_ts, append_code, append_aux = appenders[pid]
-                except KeyError:
-                    append_ts, append_code, append_aux = self._walk_appender(
-                        appenders, pid
-                    )
-                append_ts(ts)
-                append_code(code)
-                append_aux(aux)
-            index += 1
-        return index
-
-    def _consume_columns_v2(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        """v2/v3 column consumption: vectorized when numpy is available
-        and the segment is large enough to amortize it, else the scalar
-        hot loop.  Both build identical walk columns and tables (the
-        equivalence suites run under both modes)."""
+        Caller contract: ``can_append(reader)`` holds and the reader's
+        run id sorts after every previously consumed run.
+        """
+        self.pid_map.update(reader.pid_map)
         if (
             npcompat.np is not None
-            and len(columns[0]) >= npcompat.MIN_VECTOR_ROWS
+            and getattr(reader, "walk_fastpath", None) is not None
+            and reader.version >= 2
+            and reader.num_ros_events >= npcompat.MIN_VECTOR_ROWS
         ):
-            return self._consume_columns_v2_np(
-                columns, wanted, index, current_cb, pending_p13, appenders
-            )
-        return self._consume_columns_v2_rows(
-            columns, wanted, index, current_cb, pending_p13, appenders
-        )
+            self._consume_columns_np(reader.walk_fastpath())
+        else:
+            self._consume_rows(reader.walk_rows(0))
+        span = reader.ros_ts_range()
+        if span is not None:
+            self._last_ros_end = span[1]
+        # The fold may append to bucket columns in place, which numpy
+        # views cached by the previous SchedIndex (wide Alg. 2 windows)
+        # would pin, so that view goes first.  from_buckets copies only
+        # the dict (the columns are shared): a new view is O(pids).
+        self.sched = None
+        self._fold_sched(reader)
+        self.sched = SchedIndex.from_buckets(self._sched_buckets)
 
-    def _consume_columns_v2_rows(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        """The v2 hot loop: payload rows come from the segment's typed
-        shape columns (bulk-decoded once per shape on first touch), so
-        ID-carrying rows cost a list index and C ``dict.get`` calls --
-        no JSON scanner anywhere.  Fallback-encoded rows (payloads
-        outside the closed schema) decode through the v1 path."""
-        (
-            ts_col, pid_col, probe_col, shape_col, vidx_col,
-            codes, start_types, shapes, json_payload,
-        ) = columns
-        #: shape id -> materialized payload-row list, resolved lazily so
-        #: shapes only referenced by non-ID rows are never decoded.
-        rows_by_shape: List[Optional[List]] = [None] * len(shapes)
-        n_shapes = len(shapes)
-        writes = self.writes
-        writer_cb = self.writer_cb
-        take_responses = self.take_responses
-        dispatch_after = self.dispatch_after
-        all_wanted = wanted is None
-        for ts, pid, string_id, sid, vidx in zip(
-            ts_col, pid_col, probe_col, shape_col, vidx_col
-        ):
-            code = codes[string_id]
-            aux: Any = None
-            if code >= CODE_TIMER_CALL:
-                if code <= CODE_TAKE_TYPE_ERASED:
-                    if sid < n_shapes:
-                        rows = rows_by_shape[sid]
-                        if rows is None:
-                            rows = rows_by_shape[sid] = shapes[sid].rows()
-                        aux = rows[vidx]
-                    elif sid == SHAPE_JSON:
-                        aux = json_payload(vidx)
-                    else:  # NONE_ID: an ID-carrying probe without payload
-                        aux = {}
-                    if code <= CODE_TAKE_RESPONSE:
-                        current_cb[pid] = aux.get("cb_id")
-                        if code == CODE_TAKE_RESPONSE:
-                            pending_p13.setdefault(pid, []).append(index)
-                            key = (aux.get("topic"), aux.get("src_ts"))
-                            take_responses.setdefault(key, []).append((index, aux))
-                    elif code == CODE_DDS_WRITE:
-                        writer_cb[index] = current_cb.get(pid)
-                        key = (aux.get("topic"), aux.get("src_ts"))
-                        writes.setdefault(key, []).append((index, aux))
-                    else:
-                        will_dispatch = bool(aux.get("will_dispatch"))
-                        for p13_index in pending_p13.pop(pid, ()):
-                            dispatch_after[p13_index] = will_dispatch
-            elif code == CODE_CB_START:
-                current_cb[pid] = None
-                aux = start_types[string_id]
-            if code and (all_wanted or pid in wanted):
-                try:
-                    append_ts, append_code, append_aux = appenders[pid]
-                except KeyError:
-                    append_ts, append_code, append_aux = self._walk_appender(
-                        appenders, pid
-                    )
-                append_ts(ts)
-                append_code(code)
-                append_aux(aux)
-            index += 1
-        return index
+    def _fold_sched(self, reader: Any) -> None:
+        """Fold one reader's sched buckets into the index's: plain
+        append when the arriving bucket starts at or after the existing
+        tail (ties append after, matching merge tie order), else a
+        stable 2-way timestamp merge.  The left fold equals the n-way
+        stable merge of all per-reader buckets, i.e. the PID's bucket
+        in the merged sched stream."""
+        buckets = self._sched_buckets
+        for pid, bucket in run_sched_buckets(reader, self._wanted).items():
+            existing = buckets.get(pid)
+            if existing is None:
+                buckets[pid] = bucket
+            elif bucket[0][0] >= existing[0][-1]:
+                existing[0].extend(bucket[0])
+                existing[1].extend(bucket[1])
+            else:
+                times = array("q")
+                flags = bytearray()
+                for ts, flag in _heap_merge(
+                    zip(*existing), zip(*bucket), key=itemgetter(0)
+                ):
+                    times.append(ts)
+                    flags.append(flag)
+                buckets[pid] = (times, flags)
 
-    def _consume_columns_v2_np(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        """The vectorized v2/v3 consumer: per-row dispatch hoisted into
+    # -- ROS stream: walk columns + cross-node tables ----------------------
+
+    # Both _consume_* bodies are the association state machine of
+    # TraceIndex._build over positional indices of the merged stream:
+    # the numpy one for large v2/v3 segments, the row one for
+    # everything else.  The store equivalence suites pin both against
+    # the in-memory pipeline, under numpy and REPRO_NO_NUMPY.
+
+    def _consume_columns_np(self, columns: Tuple) -> None:
+        """The vectorized consumer: per-row dispatch hoisted into
         whole-column numpy operations.
 
-        Three precomputed code classes replace the scalar loop's per-row
+        Three precomputed code classes replace the row loop's per-row
         branches: the per-string-id code table becomes a ``uint8``
         lookup array, one gather yields every row's code, and boolean
         masks split the stream into walk rows (``code != 0`` -- code-0
         rows are no-ops to the Alg. 1 walk and are dropped, exactly like
-        the scalar paths) and *interesting* rows (CB starts + the
+        the row loop) and *interesting* rows (CB starts + the
         ID-carrying payload codes) that the association state machine
         must still see in order.  Aux values resolve in bulk, one
         ``map`` per referenced payload shape, into a whole-column object
@@ -389,6 +350,10 @@ class StoreTraceIndex:
             ts_col, pid_col, probe_col, shape_col, vidx_col,
             codes, start_types, shapes, json_payload,
         ) = columns
+        index = self._next_index
+        current_cb = self._current_cb
+        pending_p13 = self._pending_p13
+        wanted = self._wanted
         probe_np = np.frombuffer(probe_col, dtype=np.uint32)
         lut = probe_code_lut(codes)
         row_codes = lut[probe_np]
@@ -447,13 +412,13 @@ class StoreTraceIndex:
             walk[2].extend(aux_row[rows].tolist())
 
         # The dds_write -> active-writer-CB association, vectorized.
-        # The scalar machine threads ``current_cb`` through every
-        # CB-start and ID-carrying row; but each write only reads the
-        # state of the *last preceding setter in its PID*, which one
-        # searchsorted per PID locates directly -- so the sequential
-        # loop below shrinks to the three table-append codes.  A write
-        # with no setter before it in this segment reads the state a
-        # previous segment's consumer left in ``current_cb``.
+        # The row loop threads ``current_cb`` through every CB-start and
+        # ID-carrying row; but each write only reads the state of the
+        # *last preceding setter in its PID*, which one searchsorted per
+        # PID locates directly -- so the sequential loop below shrinks
+        # to the three table-append codes.  A write with no setter
+        # before it in this segment reads the state an earlier run's
+        # consumer left in ``current_cb``.
         writer_cb = self.writer_cb
         setter_rows = np.nonzero(
             (row_codes >= CODE_CB_START) & (row_codes <= CODE_TAKE_RESPONSE)
@@ -513,17 +478,18 @@ class StoreTraceIndex:
                 will_dispatch = bool(aux.get("will_dispatch"))
                 for p13_index in pending_p13.pop(pid, ()):
                     dispatch_after[p13_index] = will_dispatch
-        return index + n
+        self._next_index = index + n
 
-    def _consume_rows(
-        self,
-        rows: Iterable[tuple],
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
+    def _consume_rows(self, rows: Iterable[tuple]) -> None:
+        """The row consumer over ``(ts, order, row, pid, code, aux)``
+        walk rows (:meth:`~repro.store.reader.SegmentReader.walk_rows`
+        or :func:`merged_walk_rows`)."""
+        index = self._next_index
+        current_cb = self._current_cb
+        pending_p13 = self._pending_p13
+        appenders = self._appenders
+        by_pid = self._by_pid
+        wanted = self._wanted
         writes = self.writes
         writer_cb = self.writer_cb
         take_responses = self.take_responses
@@ -531,11 +497,18 @@ class StoreTraceIndex:
         all_wanted = wanted is None
         for ts, _order, _row, pid, code, aux in rows:
             if code and (all_wanted or pid in wanted):
+                # code-0 rows are no-ops to the Alg. 1 walk and never
+                # enter walk columns (matching the vectorized consumer).
                 try:
                     append_ts, append_code, append_aux = appenders[pid]
                 except KeyError:
-                    append_ts, append_code, append_aux = self._walk_appender(
-                        appenders, pid
+                    # First row of the PID in this index: reuse columns
+                    # the vectorized consumer may already have created.
+                    walk = by_pid.get(pid)
+                    if walk is None:
+                        walk = by_pid[pid] = ([], bytearray(), [])
+                    append_ts, append_code, append_aux = appenders[pid] = (
+                        walk[0].append, walk[1].append, walk[2].append,
                     )
                 append_ts(ts)
                 append_code(code)
@@ -558,107 +531,7 @@ class StoreTraceIndex:
             elif code == CODE_CB_START:
                 current_cb[pid] = None
             index += 1
-        return index
-
-    # -- sched stream: shard-local columnar buckets ------------------------
-
-    @staticmethod
-    def _build_sched(
-        readers: Sequence[Any], wanted: Optional[frozenset]
-    ) -> SchedIndex:
-        """Per-PID (timestamps, flags) buckets from the int columns.
-
-        Bucketing per reader then stably ts-merging per PID yields the
-        exact buckets :class:`SchedIndex` builds from the merged event
-        stream, because a PID's merged-stream subsequence is ordered by
-        the same ``(ts, run order, row order)`` comparator.
-        """
-        partials: Dict[int, List[Tuple[array, bytearray]]] = {}
-        for reader in readers:
-            columns = (
-                getattr(reader, "sched_pid_columns", None)
-                if npcompat.np is not None
-                else None
-            )
-            if columns is not None:
-                local = StoreTraceIndex._sched_buckets_np(columns(), wanted)
-            else:
-                local = {}
-                for ts, prev_pid, next_pid in reader.sched_pid_rows():
-                    if prev_pid != 0 and (wanted is None or prev_pid in wanted):
-                        bucket = local.get(prev_pid)
-                        if bucket is None:
-                            bucket = local[prev_pid] = (array("q"), bytearray())
-                        bucket[0].append(ts)
-                        bucket[1].append(
-                            _CLOSES | _OPENS if next_pid == prev_pid else _CLOSES
-                        )
-                    if (
-                        next_pid != 0
-                        and next_pid != prev_pid
-                        and (wanted is None or next_pid in wanted)
-                    ):
-                        bucket = local.get(next_pid)
-                        if bucket is None:
-                            bucket = local[next_pid] = (array("q"), bytearray())
-                        bucket[0].append(ts)
-                        bucket[1].append(_OPENS)
-            for pid, bucket in local.items():
-                partials.setdefault(pid, []).append(bucket)
-
-        buckets: Dict[int, Tuple[array, bytearray]] = {}
-        for pid, parts in partials.items():
-            if len(parts) == 1:
-                buckets[pid] = parts[0]
-            else:
-                times = array("q")
-                flags = bytearray()
-                for ts, flag in _heap_merge(
-                    *(zip(*part) for part in parts), key=itemgetter(0)
-                ):
-                    times.append(ts)
-                    flags.append(flag)
-                buckets[pid] = (times, flags)
-        return SchedIndex.from_buckets(buckets)
-
-    @staticmethod
-    def _sched_buckets_np(
-        columns: Tuple, wanted: Optional[frozenset]
-    ) -> Dict[int, Tuple[array, bytearray]]:
-        """One reader's per-PID sched buckets from whole int columns.
-
-        Per PID, three boolean masks replace the scalar per-row
-        branches: ``prev == pid`` closes (self-switches ``next == prev``
-        close *and* open in one entry, like the scalar path), ``next ==
-        pid`` alone opens.  The row sets are selected in stream order,
-        so bucket contents are exactly the scalar loop's."""
-        np = npcompat.np
-        ts_col, prev_col, next_col = columns
-        ts_np = np.frombuffer(ts_col, dtype=np.int64)
-        prev_np = np.frombuffer(prev_col, dtype=np.int32)
-        next_np = np.frombuffer(next_col, dtype=np.int32)
-        if wanted is None:
-            pids = np.unique(np.concatenate((prev_np, next_np))).tolist()
-        else:
-            pids = sorted(wanted)
-        local: Dict[int, Tuple[array, bytearray]] = {}
-        both = _CLOSES | _OPENS
-        for pid in pids:
-            if pid == 0:
-                continue
-            closes = prev_np == pid
-            rows = np.nonzero(closes | (next_np == pid))[0]
-            if not len(rows):
-                continue
-            flags = np.where(
-                closes[rows],
-                np.where(next_np[rows] == pid, both, _CLOSES),
-                _OPENS,
-            ).astype(np.uint8)
-            times = array("q")
-            times.frombytes(ts_np[rows].tobytes())
-            local[pid] = (times, bytearray(flags.tobytes()))
-        return local
+        self._next_index = index
 
     # -- views -------------------------------------------------------------
 

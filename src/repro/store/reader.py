@@ -441,6 +441,19 @@ class SegmentReader:
             self.bytes_inflated += entry.raw_len
         return raw
 
+    def validate(self) -> None:
+        """Check the whole segment up front, so no later lazy read can
+        fail: every v3 section inflates to its directory raw length,
+        and every event column has its header row count.  v1/v2 bodies
+        parse whole at construction, so there is nothing left to
+        check."""
+        if self.version < 3:
+            return
+        for kind, index in self._sections:
+            self._section_bytes(kind, index)
+        for columns in (self._ros, self._sched, self._wakeup):
+            list(columns)  # each column checks its row count
+
     def _section_column(
         self, typecode: str, count: int, kind: int, index: int
     ) -> Sequence:
@@ -616,37 +629,22 @@ class SegmentReader:
             return None
         return ts_col[0], ts_col[self.num_ros_events - 1]
 
-    def walk_fastpath(self):
-        """Raw material of :meth:`walk_rows` for the time-ordered fast
-        path: ``(format version, columns)``, where ``columns`` is the
-        version-specific tuple :class:`~repro.store.index.StoreTraceIndex`
-        consumes in one tight index loop with no per-row generator or
-        tuple.
-
-        v1: ``(ts, pid, probe, data)`` columns + the per-string-id
-        code/CB-type tables, the payload cache (hit-path dict access)
-        and the bound lazy JSON decoder (misses).
-
-        v2: ``(ts, pid, probe, shape, vidx)`` columns + the code/CB-type
-        tables, the :class:`_Shape` list (bulk typed-column payload
-        rows, materialized lazily per shape) and the bound JSON decoder
-        for fallback rows.
+    def walk_fastpath(self) -> Tuple:
+        """Raw material of :meth:`walk_rows` for the vectorized
+        :class:`~repro.store.index.StoreTraceIndex` consumer (format
+        v2/v3 only): the ``(ts, pid, probe, shape, vidx)`` columns, the
+        per-string-id code/CB-type tables, the :class:`_Shape` list
+        (bulk typed-column payload rows, materialized lazily per shape)
+        and the bound JSON decoder for fallback rows.
         """
         if self._code_table is None:
             self._code_table = probe_code_table(self._strings)
             self._start_types = cb_start_type_table(self._strings)
-        if self.version >= 2:
-            ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
-            return 2, (
-                ts_col, pid_col, probe_col, shape_col, vidx_col,
-                self._code_table, self._start_types,
-                self._shapes, self._payload,
-            )
-        ts_col, pid_col, probe_col, data_col = self._ros
-        return 1, (
-            ts_col, pid_col, probe_col, data_col,
+        ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
+        return (
+            ts_col, pid_col, probe_col, shape_col, vidx_col,
             self._code_table, self._start_types,
-            self._payload_cache, self._payload,
+            self._shapes, self._payload,
         )
 
     def sched_pid_rows(self) -> Iterator[Tuple[int, int, int]]:

@@ -74,6 +74,24 @@ def merged_trace_index(store: StoreLike) -> TraceIndex:
     return _index_from_readers(as_store(store).readers())
 
 
+def _cblists_from_index(
+    index: StoreTraceIndex, wanted: Sequence[int]
+) -> List[CBList]:
+    """Alg. 1 per ``wanted`` PID over a built index's walk columns."""
+    event_index = EventIndex(trace_index=index)
+    pid_map = index.pid_map
+    cblists = []
+    for pid in wanted:
+        timestamps, codes, aux = index.walk_for_pid(pid)
+        cblists.append(
+            _extract_pid_walk(
+                pid, timestamps, codes, aux, index.sched, event_index,
+                pid_map.get(pid, ""),
+            )
+        )
+    return cblists
+
+
 def _extract_store_cblists(
     readers: Sequence, wanted: Sequence[int], build_all: bool = False
 ) -> List[CBList]:
@@ -87,18 +105,7 @@ def _extract_store_cblists(
     to cover every traced PID (the serial unfiltered path).
     """
     index = StoreTraceIndex(readers, wanted_pids=None if build_all else wanted)
-    event_index = EventIndex(trace_index=index)
-    pid_map = index.pid_map
-    cblists = []
-    for pid in wanted:
-        timestamps, codes, aux = index.walk_for_pid(pid)
-        cblists.append(
-            _extract_pid_walk(
-                pid, timestamps, codes, aux, index.sched, event_index,
-                pid_map.get(pid, ""),
-            )
-        )
-    return cblists
+    return _cblists_from_index(index, wanted)
 
 
 def _extract_shard(

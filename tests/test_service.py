@@ -30,8 +30,15 @@ from repro.experiments.batch import BatchConfig
 from repro.scenarios import scenario_names
 from repro.sim.kernel import SEC
 from repro.store import TraceStore, record_batch, synthesize_from_store
-from repro.store.format import SEGMENT_SUFFIX
-from repro.store.writer import SegmentSpool
+from repro.store.format import (
+    HEADER,
+    SECTION_COMP_ZLIB,
+    SECTION_PAYLOAD,
+    SECTION_SCHED,
+    SEGMENT_SUFFIX,
+    unpack_section_dir,
+)
+from repro.store.writer import SegmentSpool, write_segment
 from repro.service import (
     DropDirWatcher,
     IngestError,
@@ -223,6 +230,36 @@ class TestIncrementalEquivalence:
             )
 
 
+class TestMixedFormatLive:
+    """Incremental == batch over a store mixing v1, v2 and v3 segments:
+    each arrival takes whichever index consumer its format and size
+    select, extending the same resumable index."""
+
+    def test_every_commit_point_matches_batch(self, sources, tmp_path):
+        source = TraceStore(sources["syn"])
+        run_ids = sorted(source.run_ids())
+        mixed = str(tmp_path / "mixed")
+        os.makedirs(mixed)
+        for version, run_id in zip((1, 2, 3), run_ids):
+            write_segment(
+                source.open(run_id).to_trace(),
+                os.path.join(mixed, run_id + SEGMENT_SUFFIX),
+                format_version=version,
+            )
+        versions = TraceStore(mixed)
+        assert [versions.format_version(r) for r in run_ids] == [1, 2, 3]
+        for case, order in enumerate(_arrival_orders("syn-mixed", run_ids)):
+            target = str(tmp_path / f"order{case}")
+            live = LiveSynthesizer(TraceStore.create(target))
+            for run_id in order:
+                _deliver(mixed, target, run_id)
+                assert live.refresh() == [run_id]
+                batch = synthesize_from_store(TraceStore(target), jobs=1)
+                assert _signature(live.model()) == _signature(batch), (
+                    order, run_id,
+                )
+
+
 class TestEvictionWindow:
     """retain_window=N == batch synthesis of the N newest runs."""
 
@@ -323,6 +360,20 @@ class TestIngestSpool:
             spool.validate_bytes("r", b"XXXX" + blob[4:])
         with pytest.raises(IngestError):
             spool.validate_bytes("r", blob[: len(blob) // 2])
+        # Corrupt sections a lazy read would only meet later, halfway
+        # through a live index extend: the first deflated sched column
+        # and payload column, 8 bytes flipped mid-stream.
+        entries, body_start = unpack_section_dir(blob, HEADER.size)
+        for kind in (SECTION_SCHED, SECTION_PAYLOAD):
+            entry = next(
+                e for e in entries
+                if e.kind == kind and e.comp == SECTION_COMP_ZLIB
+            )
+            at = body_start + entry.offset + entry.comp_len // 2
+            flipped = bytes(b ^ 0xFF for b in blob[at:at + 8])
+            corrupt = blob[:at] + flipped + blob[at + 8:]
+            with pytest.raises(IngestError, match=entry.name):
+                spool.commit_bytes("r", corrupt)
         assert "r" not in store
 
     def test_rejects_duplicates_and_path_escaping_run_ids(self, blob, tmp_path):

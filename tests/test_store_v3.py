@@ -20,6 +20,7 @@ from repro.core import npcompat
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
 from repro.sim.kernel import SEC
+from repro.sim.scheduler import SchedSwitch
 from repro.store import (
     SEGMENT_SUFFIX,
     InMemorySegment,
@@ -46,6 +47,8 @@ from repro.tracing.events import (
     CB_START_PROBES,
     P3_TIMER_CALL,
     P6_TAKE,
+    P13_TAKE_RESPONSE,
+    P14_TAKE_TYPE_ERASED,
     P16_DDS_WRITE,
     TraceEvent,
 )
@@ -514,6 +517,8 @@ PROBES = st.sampled_from(
         sorted(CB_START_PROBES)[0],
         P3_TIMER_CALL,
         P6_TAKE,
+        P13_TAKE_RESPONSE,
+        P14_TAKE_TYPE_ERASED,
         P16_DDS_WRITE,
         "custom:probe",  # code 0: dropped by walks, kept by round trips
     ]
@@ -530,7 +535,9 @@ _SCALARS = st.one_of(
 # Alg. 1 keys its write/dispatch tables on them -- so nested containers
 # (which force the SHAPE_JSON fallback rows) ride on a neutral key.
 PAYLOADS = st.dictionaries(
-    st.sampled_from(["cb_id", "topic", "src_ts"]), _SCALARS, max_size=3
+    st.sampled_from(["cb_id", "topic", "src_ts", "will_dispatch"]),
+    _SCALARS,
+    max_size=3,
 ).flatmap(
     lambda base: st.one_of(
         st.just(base),
@@ -562,7 +569,7 @@ def traces(draw):
 
 
 def _rows_from_fastpath(reader, order):
-    """Reassemble walk rows from the raw fastpath columns -- an
+    """Reassemble walk rows from the raw fastpath columns (v2/v3) -- an
     independent re-derivation the generator must match exactly."""
     from repro.core.index import (
         CODE_CB_START,
@@ -570,40 +577,23 @@ def _rows_from_fastpath(reader, order):
         CODE_TIMER_CALL,
     )
 
-    kind, cols = reader.walk_fastpath()
-    out = []
-    if kind == 2:
-        (
-            ts_col, pid_col, probe_col, shape_col, vidx_col,
-            codes, start_types, shapes, json_payload,
-        ) = cols
-        n_shapes = len(shapes)
-        for i in range(len(ts_col)):
-            string_id = probe_col[i]
-            code = codes[string_id]
-            if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-                sid = shape_col[i]
-                if sid < n_shapes:
-                    aux = shapes[sid].rows()[vidx_col[i]]
-                elif sid == SHAPE_JSON:
-                    aux = json_payload(vidx_col[i])
-                else:
-                    aux = {}
-            elif code == CODE_CB_START:
-                aux = start_types[string_id]
-            else:
-                aux = None
-            out.append((ts_col[i], order, i, pid_col[i], code, aux))
-        return out
     (
-        ts_col, pid_col, probe_col, data_col,
-        codes, start_types, _payload_cache, payload,
-    ) = cols
+        ts_col, pid_col, probe_col, shape_col, vidx_col,
+        codes, start_types, shapes, json_payload,
+    ) = reader.walk_fastpath()
+    n_shapes = len(shapes)
+    out = []
     for i in range(len(ts_col)):
         string_id = probe_col[i]
         code = codes[string_id]
         if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-            aux = payload(data_col[i])
+            sid = shape_col[i]
+            if sid < n_shapes:
+                aux = shapes[sid].rows()[vidx_col[i]]
+            elif sid == SHAPE_JSON:
+                aux = json_payload(vidx_col[i])
+            else:
+                aux = {}
         elif code == CODE_CB_START:
             aux = start_types[string_id]
         else:
@@ -622,7 +612,8 @@ class TestWalkFastpathProperties:
                 encode_trace(trace, format_version=version)
             )
             assert list(reader.walk_rows(0)) == reference
-            assert _rows_from_fastpath(reader, 0) == reference
+            if version >= 2:
+                assert _rows_from_fastpath(reader, 0) == reference
 
     @given(trace=traces())
     @settings(max_examples=30, deadline=None)
@@ -649,6 +640,117 @@ class TestWalkFastpathProperties:
             assert a.writer_cb == b.writer_cb
             assert a.take_responses == b.take_responses
             assert a.dispatch_after == b.dispatch_after
+
+
+@st.composite
+def time_ordered_runs(draw):
+    """1-4 runs whose ROS streams are time-disjoint in list order (so
+    the batch constructor concatenates), each with a sched stream of
+    PIDs shared across runs whose timestamps may overlap other runs'
+    (so the bucket fold takes both its append and its merge path)."""
+    runs = []
+    base = 0
+    for trace in draw(st.lists(traces(), min_size=1, max_size=4)):
+        trace.ros_events = [e._replace(ts=e.ts + base) for e in trace.ros_events]
+        ts = base + draw(st.integers(min_value=-60, max_value=60))
+        for _ in range(draw(st.integers(min_value=0, max_value=10))):
+            ts += draw(st.integers(min_value=0, max_value=20))
+            trace.sched_events.append(SchedSwitch(
+                ts, 0, draw(st.integers(min_value=0, max_value=3)), "a", 120,
+                "S", draw(st.integers(min_value=0, max_value=3)), "b", 120,
+            ))
+        trace.stop_ts += base
+        base = trace.stop_ts + draw(st.integers(min_value=0, max_value=5))
+        runs.append(trace)
+    return runs
+
+
+def _index_contents(index):
+    """Every structure extraction reads from a store index."""
+    return (
+        index.pid_map,
+        {pid: index.walk_for_pid(pid) for pid in index.pids()},
+        index.writes,
+        index.writer_cb,
+        index.take_responses,
+        index.dispatch_after,
+        index.sched._buckets,
+    )
+
+
+class TestResumableStoreIndex:
+    @given(
+        runs=time_ordered_runs(),
+        versions=st.lists(st.sampled_from([1, 2, 3]), min_size=4, max_size=4),
+        wanted=st.one_of(
+            st.none(), st.frozensets(st.integers(min_value=1, max_value=7))
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_constructor_equals_empty_plus_extend(self, runs, versions, wanted):
+        """Batch build == empty index + one extend per run, for v1/v2/v3
+        and mixed-version run lists, with the vectorized consumer forced
+        on every segment and off; the sched buckets also equal the
+        in-memory SchedIndex over the merged sched stream."""
+        from repro.core.exec_time import SchedIndex
+
+        blobs = [
+            encode_trace(trace, format_version=version)
+            for trace, version in zip(runs, versions)
+        ]
+        merged = Trace.merge(runs).sched_events
+        if wanted is not None:
+            merged = [
+                e for e in merged if e.prev_pid in wanted or e.next_pid in wanted
+            ]
+        reference = SchedIndex(merged)
+        saved = npcompat.MIN_VECTOR_ROWS
+        try:
+            for floor in (1, 10 ** 9):
+                npcompat.MIN_VECTOR_ROWS = floor
+                batch = StoreTraceIndex(
+                    [SegmentReader(blob) for blob in blobs], wanted_pids=wanted
+                )
+                grown = StoreTraceIndex([], wanted_pids=wanted)
+                for blob in blobs:
+                    reader = SegmentReader(blob)
+                    assert grown.can_append(reader)
+                    grown.extend(reader)
+                assert _index_contents(grown) == _index_contents(batch)
+                assert batch.sched._buckets == {
+                    pid: bucket
+                    for pid, bucket in reference._buckets.items()
+                    if wanted is None or pid in wanted
+                }
+        finally:
+            npcompat.MIN_VECTOR_ROWS = saved
+
+    def test_extend_after_a_vectorized_sched_query(self):
+        """A wide Alg. 2 window caches numpy views on a PID's bucket
+        columns; a later run of the same PID must still extend them."""
+
+        def run(base):
+            sched = [
+                SchedSwitch(
+                    base + 10 * i, 0, 5 if i % 2 else 0, "a", 120, "S",
+                    0 if i % 2 else 5, "b", 120,
+                )
+                for i in range(8)
+            ]
+            return Trace(
+                sched_events=sched, pid_map={5: "n"},
+                start_ts=base, stop_ts=base + 100,
+            )
+
+        saved = npcompat.MIN_VECTOR_ROWS
+        try:
+            npcompat.MIN_VECTOR_ROWS = 1  # every window vectorizes
+            index = StoreTraceIndex([SegmentReader(encode_trace(run(0)))])
+            assert index.sched.exec_time(0, 90, 5) == 40
+            index.extend(SegmentReader(encode_trace(run(1000))))
+            assert index.sched.exec_time(0, 2000, 5) == 80
+        finally:
+            npcompat.MIN_VECTOR_ROWS = saved
 
 
 class TestNoNumpySynthesis:
