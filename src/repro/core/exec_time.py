@@ -184,6 +184,14 @@ class SchedIndex:
         selected.sort(key=lambda e: e.ts)  # stable: bucket order
         return selected
 
+    def rows_through(self, pid: int, ts: int) -> int:
+        """How many of the PID's bucket rows lie at or before ``ts``.
+
+        Alg. 2 reads only the rows inside a window, so exec times folded
+        for windows ending by ``ts`` stand while this count does."""
+        bucket = self._buckets.get(pid)
+        return 0 if bucket is None else bisect_right(bucket[0], ts)
+
     def exec_time(self, start: int, end: int, pid: int) -> int:
         """Alg. 2 over the indexed window (identical result, fast)."""
         if end < start:

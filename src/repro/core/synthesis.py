@@ -65,8 +65,11 @@ def synthesize_dag(
                 response_times=list(record.response_times),
             )
             if dag.has_vertex(key):
-                # Only possible with split_services=False: fold the
-                # per-caller service records into one (naive) vertex.
+                # Records sharing a vertex key fold into one vertex:
+                # the records of different PIDs that run the same node
+                # (every multi-run store -- each run hosts the node
+                # under its own PID) and, with split_services=False,
+                # the per-caller records of one service.
                 existing = dag.vertex(key)
                 existing.exec_times.extend(vertex.exec_times)
                 existing.start_times.extend(vertex.start_times)

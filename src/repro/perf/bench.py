@@ -615,11 +615,13 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
     Both sides commit the identical pre-encoded segments one at a time
     and produce a model after every commit; the incremental side
     extends the maintained :class:`~repro.store.index.StoreTraceIndex`
-    with each arrival, the
-    rebuild side re-runs ``synthesize_from_store`` from scratch -- what
-    a query-after-every-arrival service would cost without the
+    with each arrival and resumes each PID's Alg. 1 walk over the rows
+    that arrival appended, the rebuild side re-runs
+    ``synthesize_from_store`` from scratch -- what a
+    query-after-every-arrival service would cost without the
     incremental layer.  Encoding and simulation stay outside the timed
-    regions.
+    regions.  ``model_rows_walked`` equals the walk rows of the final
+    index when no PID had to re-walk (``model_pid_rewalks == 0``).
     """
     import tempfile
 
@@ -671,6 +673,8 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
         "extends": counters.extends,
         "rebuilds": counters.rebuilds,
         "saved_s": round(counters.saved_s, 6),
+        "model_rows_walked": counters.model_rows_walked,
+        "model_pid_rewalks": counters.model_pid_rewalks,
     }
 
 
@@ -927,7 +931,9 @@ def format_report(payload: Dict[str, Any]) -> str:
             f"{ingest['events']} events): "
             f"{ingest['per_segment_ms']:.1f} ms/segment incremental, "
             f"{ingest['speedup_vs_rebuild']:.2f}x vs per-commit rebuild "
-            f"({ingest['extends']} extend(s), {ingest['rebuilds']} rebuild(s))"
+            f"({ingest['extends']} extend(s), {ingest['rebuilds']} rebuild(s), "
+            f"{ingest['model_rows_walked']} walk row(s), "
+            f"{ingest['model_pid_rewalks']} PID re-walk(s))"
         )
     return "\n".join(lines)
 

@@ -17,6 +17,24 @@ including the k-way merge for overlapping runs).
 :class:`LiveSynthesizer` makes that policy decision per arriving
 segment and tracks the observability counters.
 
+Extraction resumes the same way.  :meth:`LiveSynthesizer.model` keeps
+one :class:`~repro.core.extraction.PidWalk` per PID, tied to the index
+object (a rebuild or an eviction swaps the index and drops them all),
+and resumes each over the walk rows appended since the last model --
+the batch path runs the same walk from an empty state, so each row is
+walked once.  A PID re-walks from row 0 only when its folded records
+might not be final:
+
+1. a sched row arrived at or before the end of its last folded CB (the
+   PID's bucket count up to that horizon grew; Alg. 2 reads only rows
+   inside a folded CB's window, and every such window ends by the
+   horizon, so no row that could change a folded exec time escapes);
+2. its ``pid_map`` name changed;
+3. a cross-node match that was not final when walked -- FindCaller with
+   no write yet or a cursor clamped to the last write, FindClient with
+   no dispatching take yet or an earlier take still awaiting its P14 --
+   now resolves to a different row.
+
 The chain-latency :class:`~repro.analysis.latency.LatencyIndex` follows
 the same policy, lazily: built from the retained readers on the first
 latency request, then extended with each segment that takes the extend
@@ -34,10 +52,11 @@ from typing import Any, Dict, List, Optional
 from ..analysis.latency import LatencyIndex
 from ..analysis.store import _store_rows, latency_index_from_store
 from ..core.dag import TimingDag
+from ..core.extraction import PidWalk
 from ..core.synthesis import synthesize_dag
 from ..store.database import TraceStore
 from ..store.index import StoreTraceIndex
-from ..store.synthesis import _cblists_from_index
+from ..store.synthesis import resume_walks
 
 
 @dataclass
@@ -57,6 +76,11 @@ class ServiceCounters:
     #: first one after each rebuild or eviction) and in-place extends.
     latency_index_builds: int = 0
     latency_index_extends: int = 0
+    #: models synthesized, Alg. 1 walk rows they walked, and PIDs whose
+    #: walk had to restart from row 0 (see :meth:`LiveSynthesizer.model`).
+    model_builds: int = 0
+    model_rows_walked: int = 0
+    model_pid_rewalks: int = 0
     extend_s: float = 0.0
     rebuild_s: float = 0.0
     #: estimated wall-clock the incremental extends saved vs rebuilding
@@ -76,6 +100,9 @@ class ServiceCounters:
             "queries_served": self.queries_served,
             "latency_index_builds": self.latency_index_builds,
             "latency_index_extends": self.latency_index_extends,
+            "model_builds": self.model_builds,
+            "model_rows_walked": self.model_rows_walked,
+            "model_pid_rewalks": self.model_pid_rewalks,
             "extend_s": round(self.extend_s, 6),
             "rebuild_s": round(self.rebuild_s, 6),
             "saved_s": round(self.saved_s, 6),
@@ -130,6 +157,10 @@ class LiveSynthesizer:
         #: the chain-latency index over the retained runs; built on the
         #: first latency request, then extended with each appended run.
         self._latency: Optional[LatencyIndex] = None
+        #: per-PID Alg. 1 walks over ``_walks_index``; an index swap
+        #: (rebuild or eviction) drops them.
+        self._walks: Dict[int, PidWalk] = {}
+        self._walks_index: Optional[StoreTraceIndex] = None
         self._dag: Optional[TimingDag] = None
         #: measured full-build seconds per event (updated by rebuilds).
         self._build_rate: Optional[float] = None
@@ -244,12 +275,23 @@ class LiveSynthesizer:
     def model(self) -> TimingDag:
         """The timing DAG over the retained runs -- byte-identical to
         ``synthesize_from_store(store_of_retained_runs, jobs=1)``.
-        Cached until the next ingest."""
+        Cached until the next ingest.  Each PID's Alg. 1 walk resumes
+        over the rows appended since the last model, unless
+        :meth:`~repro.core.extraction.PidWalk.is_current` finds it must
+        restart from row 0."""
         if self._dag is None:
             index = self._index
-            cblists = _cblists_from_index(index, sorted(index.pid_map))
+            if self._walks_index is not index:
+                self._walks = {}
+                self._walks_index = index
+            pids = sorted(index.pid_map)
+            rows, rewalks = resume_walks(index, pids, self._walks)
+            counters = self.counters
+            counters.model_builds += 1
+            counters.model_rows_walked += rows
+            counters.model_pid_rewalks += rewalks
             self._dag = synthesize_dag(
-                cblists,
+                [self._walks[pid].cblist for pid in pids],
                 split_services=self.split_services,
                 model_sync=self.model_sync,
             )

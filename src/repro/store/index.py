@@ -68,7 +68,7 @@ from .format import SHAPE_JSON
 
 #: One PID's walk columns: timestamps, probe codes, and the per-row aux
 #: slot (CB-type label / decoded payload / None) -- parallel sequences
-#: consumed by :func:`~repro.core.extraction._extract_pid_walk`.
+#: consumed by :class:`~repro.core.extraction.PidWalk`.
 WalkColumns = Tuple[List[int], bytearray, List[Any]]
 
 #: One PID's sched bucket: timestamps and open/close flags.

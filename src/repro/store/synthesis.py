@@ -22,13 +22,17 @@ Sec. V without an in-memory :class:`TraceDatabase`:
   :func:`~repro.core.merge.merge_dags`.
 
 Sharding discipline: per-PID extraction only shares the *immutable*
-``TraceIndex`` tables; the single mutable piece of extraction state --
-the FIFO caller cursors of :class:`~repro.core.extraction.EventIndex`
--- is keyed by ``(topic, src_ts)``, and every take of such a key
-happens in the one PID hosting that service, so per-shard cursors see
-exactly the lookup sequence the sequential pass saw.  The equivalence
-suite pins this byte-for-byte against ``synthesize_from_trace`` for
-every registry scenario at several job counts.
+``TraceIndex`` tables.  Every piece of mutable extraction state lives
+in the PID's own :class:`~repro.core.extraction.PidWalk`, the FIFO
+caller cursors included, so a shard's walks are exactly the serial
+pass's walks.  The in-memory pipeline shares one cursor dict across
+PIDs instead; the two agree because the cursors are keyed by
+``(topic, src_ts)`` and every take of such a key happens in the one PID
+hosting that service.  The equivalence suite pins this byte-for-byte
+against ``synthesize_from_trace`` for every registry scenario at
+several job counts.  :func:`resume_walks` is the one extraction driver:
+batch synthesis resumes empty walks once, the live service keeps its
+walks and resumes them per model.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.dag import TimingDag
-from ..core.extraction import EventIndex, _extract_pid_walk
+from ..core.extraction import EventIndex, PidWalk
 from ..experiments.batch import _shard
 from ..core.index import TraceIndex
 from ..core.merge import merge_dags
@@ -74,22 +78,39 @@ def merged_trace_index(store: StoreLike) -> TraceIndex:
     return _index_from_readers(as_store(store).readers())
 
 
+def resume_walks(
+    index: StoreTraceIndex, wanted: Sequence[int], walks: Dict[int, PidWalk]
+) -> Tuple[int, int]:
+    """Bring the per-PID Alg. 1 walks in ``walks`` up to date with
+    ``index``: a PID without a walk, or whose walk is no longer
+    :meth:`~repro.core.extraction.PidWalk.is_current`, walks from row 0;
+    every other PID resumes over its walk rows appended since.  Returns
+    ``(rows walked, re-walked PIDs)``."""
+    lookups = EventIndex(trace_index=index)
+    pid_map = index.pid_map
+    sched = index.sched
+    rows = rewalks = 0
+    for pid in wanted:
+        node_name = pid_map.get(pid, "")
+        walk = walks.get(pid)
+        if walk is not None and not walk.is_current(node_name, sched, lookups):
+            walk = None
+            rewalks += 1
+        if walk is None:
+            walk = walks[pid] = PidWalk(pid, node_name)
+        timestamps, codes, aux = index.walk_for_pid(pid)
+        rows += walk.resume(timestamps, codes, aux, sched, lookups)
+    return rows, rewalks
+
+
 def _cblists_from_index(
     index: StoreTraceIndex, wanted: Sequence[int]
 ) -> List[CBList]:
-    """Alg. 1 per ``wanted`` PID over a built index's walk columns."""
-    event_index = EventIndex(trace_index=index)
-    pid_map = index.pid_map
-    cblists = []
-    for pid in wanted:
-        timestamps, codes, aux = index.walk_for_pid(pid)
-        cblists.append(
-            _extract_pid_walk(
-                pid, timestamps, codes, aux, index.sched, event_index,
-                pid_map.get(pid, ""),
-            )
-        )
-    return cblists
+    """Alg. 1 per ``wanted`` PID over a built index's walk columns:
+    every walk resumed once from an empty state."""
+    walks: Dict[int, PidWalk] = {}
+    resume_walks(index, wanted, walks)
+    return [walks[pid].cblist for pid in wanted]
 
 
 def _extract_store_cblists(
