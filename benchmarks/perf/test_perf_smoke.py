@@ -2,9 +2,11 @@
 
 Runs the full suite at the reduced ``smoke`` scale (a couple of
 seconds), prints the report for comparison with the committed
-``BENCH_8.smoke.json`` baseline, and sanity-checks the
-machine-independent speedup ratios.  CI's perf-smoke job additionally runs
-``repro perf --check BENCH_8.smoke.json`` to fail on >2x regressions.
+``BENCH_9.smoke.json`` baseline, and sanity-checks the
+machine-independent counters and speedup ratios.  CI's perf-smoke job
+additionally runs ``repro perf --check BENCH_9.smoke.json``, which fails
+when a Python calls/event counter grew more than 5% or a speedup ratio
+regressed more than 2x.
 
 Set ``REPRO_FULL=1`` to run at the ``full`` scale instead.
 """
@@ -22,7 +24,7 @@ SCALE = "full" if os.environ.get("REPRO_FULL", "") == "1" else "smoke"
 
 #: Baselines are per-scale: speedup ratios shrink with trace size, so a
 #: smoke run is only comparable to the committed smoke-scale baseline.
-BASELINE_PATH = REPO_ROOT / ("BENCH_8.smoke.json" if SCALE == "smoke" else "BENCH_8.json")
+BASELINE_PATH = REPO_ROOT / ("BENCH_9.smoke.json" if SCALE == "smoke" else "BENCH_9.json")
 
 
 @pytest.fixture(scope="module")
@@ -36,26 +38,27 @@ def test_report_prints(suite, capsys):
         print(format_report(suite))
 
 
-def test_synthesis_is_faster_than_legacy(suite):
-    """The TraceIndex pipeline must beat the frozen pre-change one."""
-    assert suite["micro"]["synthesis"]["merged"]["speedup"] > 1.0
-
-
-def test_sim_stack_not_slower_than_legacy(suite):
-    # Generous floor: shared layers already carry PR-2 optimizations,
-    # so the frozen stack is a conservative baseline.
-    assert suite["micro"]["sim"]["speedup_vs_legacy"] > 0.8
+def test_synthesis_call_counts_are_measured(suite):
+    """Both synthesis workloads report the counter the gate reads."""
+    synth = suite["micro"]["synthesis"]
+    for label in ("merged", "single"):
+        entry = synth[label]
+        assert entry["python_calls"] > 0, label
+        assert entry["calls_per_event"] == round(
+            entry["python_calls"] / entry["events"], 4
+        ), label
 
 
 def test_sim_call_counts_are_measured_not_folklore(suite):
-    """The flattened dispatch must do far fewer Python calls per trace
-    event than the legacy trampoline stack (ROADMAP's ~48 calls/event).
-    Call counts are deterministic for a fixed workload, so the floors
-    here are tight even at smoke scale."""
+    """The flattened dispatch must stay far below the ~33 Python calls
+    per trace event of the pre-flattening stack.  Call counts are
+    deterministic for a fixed workload; the 5% gate against the
+    committed baseline runs in ``test_no_regression_vs_committed_baseline``."""
     sim = suite["micro"]["sim"]
     assert sim["python_calls"] > 0
-    assert sim["calls_per_event"] < sim["legacy_calls_per_event"]
-    assert sim["call_reduction_vs_legacy"] > 1.5
+    assert sim["calls_per_event"] == round(
+        sim["python_calls"] / sim["trace_events"], 4
+    )
     assert sim["calls_per_event"] < 30
 
 
@@ -120,9 +123,9 @@ def test_service_ingest_beats_per_commit_rebuild(suite):
 
 
 def test_no_regression_vs_committed_baseline(suite):
-    """The >2x gate CI enforces, exercised in-process as well."""
+    """The gate CI enforces, exercised in-process as well."""
     if not BASELINE_PATH.exists():
-        pytest.skip("no committed BENCH_8 baseline")
+        pytest.skip("no committed BENCH_9 baseline")
     committed = json.loads(BASELINE_PATH.read_text())
     failures = check_regression(suite, committed, factor=2.0)
     assert failures == [], "\n".join(failures)

@@ -37,9 +37,10 @@ Usage::
     python -m repro analyze DIR [--report chains,jitter,load] [--topics a,b]
                           [--pids 1,2,...] [--jobs 4] [--sources k1,k2]
                           [--sinks k3] [--waiting-pid PID]
-    python -m repro perf  [--scale smoke|default|full] [--out BENCH_6.json]
+    python -m repro perf  [--scale smoke|default|full] [--out BENCH_9.json]
                           [--baseline-src PATH] [--baseline-ref REF]
-                          [--check BENCH_6.json] [--factor 2.0]
+                          [--check BENCH_9.smoke.json] [--factor 2.0]
+                          [--profile sim|synthesis|batch] [--top 25]
 
 Durations are in (simulated) seconds.  Every command prints the
 regenerated table/figure in the same shape the paper reports;
@@ -1319,19 +1320,22 @@ def build_parser() -> argparse.ArgumentParser:
                       help="workload size: smoke | default | full")
     perf.add_argument("--out", help="write the suite results to this JSON path")
     perf.add_argument("--baseline-src",
-                      help="src/ of a pre-change checkout; measures the "
-                           "Table II macro batch against it in a subprocess")
+                      help="src/ of another checkout (e.g. a git worktree "
+                           "of an older commit); measures the Table II "
+                           "macro batch against it in a subprocess")
     perf.add_argument("--baseline-ref",
                       help="label (e.g. git ref) recorded for --baseline-src")
     perf.add_argument("--check",
-                      help="committed baseline JSON; exit 1 when an "
+                      help="committed baseline JSON; exit 1 when a "
+                           "counter grew past its fixed tolerance or an "
                            "in-process speedup regressed by more than "
                            "--factor")
     perf.add_argument("--factor", type=float, default=2.0,
-                      help="allowed regression factor for --check")
+                      help="allowed regression factor of the speedup "
+                           "ratios for --check")
     perf.add_argument("--profile",
-                      help="cProfile one section (sim | sim-legacy | "
-                           "synthesis | batch) instead of running the "
+                      help="cProfile one section (sim | synthesis | "
+                           "batch) instead of running the "
                            "suite; writes a .pstats artifact (--out "
                            "overrides the path)")
     perf.add_argument("--top", type=int, default=25,

@@ -26,8 +26,7 @@ dispatch) the two formulations are identical.
 per-PID buckets -- an ``array('q')`` of timestamps and a parallel
 ``bytearray`` of open/close flags -- so a window query binary-searches
 plain integers and folds without touching a single
-:class:`SchedSwitch` object.  Equivalence with the literal algorithm
-(and with the frozen pre-columnar index in :mod:`repro._legacy`) is
+:class:`SchedSwitch` object.  Equivalence with the literal algorithm is
 enforced by property-based tests.
 """
 

@@ -31,8 +31,8 @@ re-sorted wholesale even when every input was already ordered.
 Equality with the pre-index pipeline is bit-exact: all sorts involved
 are stable with the same key, so same-timestamp events keep their
 relative order in both the global stream and every per-PID view.  The
-golden tests in ``tests/test_perf_equivalence.py`` pin this against the
-frozen implementation in :mod:`repro._legacy`.
+golden digests in ``tests/test_perf_equivalence.py`` pin the DAG JSON,
+exec tables and DOT exports the pre-index pipeline produced.
 """
 
 from __future__ import annotations

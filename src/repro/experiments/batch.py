@@ -110,10 +110,7 @@ def _execute_run(
     )
     duration = config.duration_ns if config.duration_ns is not None else spec.duration_ns
     num_cpus = config.num_cpus if config.num_cpus is not None else spec.num_cpus
-    # "priority" maps to None (the scheduler's default) so default-policy
-    # batches keep working with injected legacy scheduler classes.
-    policy = spec.policy if spec.policy != "priority" else None
-    run_config = config.run_config(duration, num_cpus, sched_policy=policy)
+    run_config = config.run_config(duration, num_cpus, sched_policy=spec.policy)
     result = run_once(lambda world, i: spec.build(world), run_config, run_index=run_index)
     dag = synthesize_from_trace(result.trace, pids=result.apps.pids)
     return (run_index, dag, result.trace if config.collect_traces else None)

@@ -54,8 +54,7 @@ class RunConfig:
     stagger_runs: bool = True
     pid_stride: int = 10_000
     #: Scheduling policy name for the world's scheduler (None keeps the
-    #: default priority/RR policy and stays compatible with injected
-    #: legacy scheduler classes that predate the policy parameter).
+    #: default priority/RR policy).
     sched_policy: Optional[str] = None
 
     def seed_for(self, run_index: int) -> int:

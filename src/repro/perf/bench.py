@@ -4,17 +4,15 @@ Six benchmarks, each reporting wall-clock and a derived throughput:
 
 * **synthesis micro** -- trace -> DAG synthesis on a merged multi-run
   trace (Sec. V strategy 1, the O(P·N) pathology the ``TraceIndex``
-  layer removes) and on a single-run trace, measured against the frozen
-  pre-change pipeline in :mod:`repro._legacy`;
-* **sim micro** -- full-stack traced simulation events/sec, new kernel /
-  scheduler / tracer stack vs the frozen ``repro._legacy`` stack
-  (conservative: layers shared by both stacks carry this PR's
-  optimizations too);
+  layer removes) and on a single-run trace: wall clock, events/sec and
+  Python calls per trace event;
+* **sim micro** -- full-stack traced simulation: wall clock, events/sec
+  and Python calls per trace event;
 * **Table II macro** -- wall-clock of the reduced-scale Table II batch
   (``run_batch`` of ``avp-interference``).  When ``baseline_src`` points
-  at a pre-change checkout's ``src`` directory, the identical workload
-  is timed in a subprocess against that tree -- the honest
-  pre-change-code comparison recorded in ``BENCH_2.json``;
+  at another checkout's ``src`` directory (a ``git worktree`` of any
+  older commit), the identical workload is timed in a subprocess
+  against that tree -- the wall-clock A/B against older code;
 * **jobs scaling macro** -- ``run_batch --jobs`` parallel efficiency;
 * **store** -- the binary trace store: segment encode/decode MB and
   Mev/s against the legacy gzip-JSON storage, plus store-backed
@@ -33,10 +31,11 @@ Six benchmarks, each reporting wall-clock and a derived throughput:
   ``synthesize_from_store`` at every commit point -- the win the
   ``repro serve`` worker banks on every arrival.
 
-Speedup ratios (new vs frozen legacy, measured in the same process) are
-machine-independent and are what the CI regression gate compares;
-absolute events/sec document the trajectory on the machine that wrote
-the JSON.
+The CI regression gate compares two kinds of machine-independent
+numbers (see :data:`REGRESSION_METRICS`): deterministic counters (Python
+calls per trace event) and speedup ratios of two measurements taken in
+the same process.  Absolute events/sec document the trajectory on the
+machine that wrote the JSON.
 """
 
 from __future__ import annotations
@@ -50,11 +49,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-from .._legacy.extraction import extract_all as legacy_extract_all
-from .._legacy.tracing.session import TracingSession as LegacyTracingSession
-from .._legacy.world import World as LegacyWorld
 from ..core.pipeline import synthesize_from_trace
-from ..core.synthesis import synthesize_dag
 from ..experiments.batch import BatchConfig, run_batch
 from ..experiments.runner import RunConfig
 from ..scenarios.registry import build_scenario_spec
@@ -138,16 +133,11 @@ def _best_of(fn, reps: int) -> float:
     return best
 
 
-def _simulate(
-    run_index: int,
-    duration_ns: int,
-    world_cls=World,
-    session_cls=TracingSession,
-) -> Trace:
-    """One traced ``avp-interference`` run on the given substrate."""
+def _simulate(run_index: int, duration_ns: int) -> Trace:
+    """One traced ``avp-interference`` run."""
     spec = build_scenario_spec(BENCH_SCENARIO, run_index=run_index, runs=50)
     config = RunConfig(duration_ns=duration_ns, num_cpus=spec.num_cpus)
-    world = world_cls(
+    world = World(
         num_cpus=config.num_cpus,
         seed=config.seed_for(run_index),
         timeslice=config.timeslice_ns,
@@ -156,7 +146,7 @@ def _simulate(
         first_pid=config.pid_base_for(run_index),
     )
     spec.build(world)
-    session = session_cls(world, kernel_filter=config.kernel_filter)
+    session = TracingSession(world, kernel_filter=config.kernel_filter)
     session.start_init()
     world.launch()
     world.run(for_ns=config.warmup_ns)
@@ -168,51 +158,20 @@ def _simulate(
 
 
 # ---------------------------------------------------------------------------
-# Micro: synthesis
-# ---------------------------------------------------------------------------
-
-def bench_synthesis(scale: BenchScale) -> Dict[str, Any]:
-    """Trace -> DAG throughput, optimized pipeline vs frozen legacy."""
-    duration_ns = scale.synthesis_duration_s * SEC
-    traces = [
-        _simulate(i, duration_ns) for i in range(scale.synthesis_runs)
-    ]
-    merged = Trace.merge(traces)
-    single = traces[0]
-
-    def events_of(trace: Trace) -> int:
-        return len(trace.ros_events) + len(trace.sched_events)
-
-    result: Dict[str, Any] = {}
-    for label, trace in (("merged", merged), ("single", single)):
-        new_s = _best_of(lambda t=trace: synthesize_from_trace(t), scale.reps)
-        legacy_s = _best_of(
-            lambda t=trace: synthesize_dag(legacy_extract_all(t)), scale.reps
-        )
-        result[label] = {
-            "events": events_of(trace),
-            "pids": len(trace.pid_map),
-            "new_s": round(new_s, 6),
-            "legacy_s": round(legacy_s, 6),
-            "speedup": round(legacy_s / new_s, 3),
-            "events_per_sec": round(events_of(trace) / new_s),
-        }
-    result["runs_merged"] = scale.synthesis_runs
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Micro: simulation
+# Call counting
 # ---------------------------------------------------------------------------
 
 def _count_calls(fn) -> int:
     """Python function calls made by ``fn()``, via ``sys.setprofile``.
 
-    Counts ``call`` events only (C calls excluded): the flattened
-    dispatch work of this PR removes Python frames, and that is the
-    machine-independent quantity worth pinning.  Run separately from the
-    timed reps -- the profile hook itself costs more than the workload.
+    Counts ``call`` events only (C calls excluded): removed Python frames
+    are the machine-independent quantity worth pinning.  ``fn`` runs
+    once unprofiled first, so one-time lazy setup (imports, caches) is
+    not counted and every count of a fixed workload is the same.  Run
+    separately from the timed reps -- the profile hook itself costs more
+    than the workload.
     """
+    fn()
     calls = 0
 
     def tracer(frame, event, arg):
@@ -228,38 +187,54 @@ def _count_calls(fn) -> int:
     return calls
 
 
-def bench_sim(scale: BenchScale) -> Dict[str, Any]:
-    """Traced-simulation wall-clock, new stack vs frozen legacy stack.
+# ---------------------------------------------------------------------------
+# Micro: synthesis
+# ---------------------------------------------------------------------------
 
-    Both stacks replay the identical workload and -- pinned by
-    ``tests/test_perf_equivalence.py`` -- emit byte-identical traces, so
-    one event count serves as the denominator for both sides'
-    calls-per-event figures.
-    """
+def bench_synthesis(scale: BenchScale) -> Dict[str, Any]:
+    """Trace -> DAG throughput and Python calls per trace event."""
+    duration_ns = scale.synthesis_duration_s * SEC
+    traces = [
+        _simulate(i, duration_ns) for i in range(scale.synthesis_runs)
+    ]
+    merged = Trace.merge(traces)
+    single = traces[0]
+
+    result: Dict[str, Any] = {}
+    for label, trace in (("merged", merged), ("single", single)):
+        events = len(trace.ros_events) + len(trace.sched_events)
+        new_s = _best_of(lambda t=trace: synthesize_from_trace(t), scale.reps)
+        calls = _count_calls(lambda t=trace: synthesize_from_trace(t))
+        result[label] = {
+            "events": events,
+            "pids": len(trace.pid_map),
+            "new_s": round(new_s, 6),
+            "events_per_sec": round(events / new_s),
+            "python_calls": calls,
+            "calls_per_event": round(calls / max(1, events), 4),
+        }
+    result["runs_merged"] = scale.synthesis_runs
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Micro: simulation
+# ---------------------------------------------------------------------------
+
+def bench_sim(scale: BenchScale) -> Dict[str, Any]:
+    """Traced-simulation wall clock and Python calls per trace event."""
     duration_ns = scale.sim_duration_s * SEC
     new_s = _best_of(lambda: _simulate(0, duration_ns), scale.reps)
-    legacy_s = _best_of(
-        lambda: _simulate(0, duration_ns, LegacyWorld, LegacyTracingSession),
-        scale.reps,
-    )
     trace = _simulate(0, duration_ns)
     events = len(trace.ros_events) + len(trace.sched_events)
-    new_calls = _count_calls(lambda: _simulate(0, duration_ns))
-    legacy_calls = _count_calls(
-        lambda: _simulate(0, duration_ns, LegacyWorld, LegacyTracingSession)
-    )
+    calls = _count_calls(lambda: _simulate(0, duration_ns))
     return {
         "sim_seconds": scale.sim_duration_s,
         "trace_events": events,
         "new_s": round(new_s, 6),
-        "legacy_s": round(legacy_s, 6),
-        "speedup_vs_legacy": round(legacy_s / new_s, 3),
         "events_per_sec": round(events / new_s),
-        "python_calls": new_calls,
-        "legacy_python_calls": legacy_calls,
-        "calls_per_event": round(new_calls / max(1, events), 2),
-        "legacy_calls_per_event": round(legacy_calls / max(1, events), 2),
-        "call_reduction_vs_legacy": round(legacy_calls / max(1, new_calls), 3),
+        "python_calls": calls,
+        "calls_per_event": round(calls / max(1, events), 4),
     }
 
 
@@ -685,8 +660,7 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
 #: Sections accepted by :func:`profile_section` and the CLI's
 #: ``--profile`` flag, with what each one profiles.
 PROFILE_SECTIONS: Dict[str, str] = {
-    "sim": "one traced simulation run on the new stack",
-    "sim-legacy": "one traced simulation run on the frozen legacy stack",
+    "sim": "one traced simulation run",
     "synthesis": "trace -> DAG synthesis of a merged multi-run trace",
     "batch": "the reduced Table II serial batch",
 }
@@ -719,10 +693,6 @@ def profile_section(
 
     if section == "sim":
         target = lambda: _simulate(0, scale.sim_duration_s * SEC)
-    elif section == "sim-legacy":
-        target = lambda: _simulate(
-            0, scale.sim_duration_s * SEC, LegacyWorld, LegacyTracingSession
-        )
     elif section == "synthesis":
         duration_ns = scale.synthesis_duration_s * SEC
         merged = Trace.merge(
@@ -789,24 +759,34 @@ def run_perf_suite(
     return payload
 
 
-#: In-process speedup metrics compared by the CI regression gate.  These
-#: are ratios of two measurements taken on the same machine in the same
-#: process, so they transfer across machines (unlike events/sec).
+#: Allowed growth of a deterministic counter over its committed value.
+COUNTER_TOLERANCE = 0.05
+
+#: Metrics compared by the CI regression gate: (dotted path, label,
+#: counter tolerance).  Neither kind depends on the machine (unlike
+#: events/sec):
+#:
+#: * counters (tolerance set) are deterministic for a fixed workload;
+#:   lower is better, and a run fails above ``committed * (1 +
+#:   tolerance)`` whatever ``factor`` says -- ``factor`` absorbs timing
+#:   noise, and counters have none;
+#: * speedup ratios (tolerance None) are two measurements taken in the
+#:   same process; higher is better, and a run fails below
+#:   ``committed / factor``.
 REGRESSION_METRICS = (
-    ("micro.synthesis.merged.speedup", "merged-trace synthesis speedup"),
-    ("micro.synthesis.single.speedup", "single-trace synthesis speedup"),
-    ("micro.sim.speedup_vs_legacy", "sim stack speedup"),
-    # Deterministic Python-call ratio, not a timing: the flattened
-    # dispatch must keep doing several times fewer frames per trace
-    # event than the legacy stack.
-    ("micro.sim.call_reduction_vs_legacy", "sim stack call reduction"),
-    ("store.encode.speedup_vs_json", "binary store encode speedup"),
-    ("store.decode.speedup_vs_json", "binary store decode speedup"),
-    ("store.synthesis.speedup_vs_inline", "store synthesis vs inline ratio"),
+    ("micro.sim.calls_per_event", "sim stack Python calls/event", COUNTER_TOLERANCE),
+    ("micro.synthesis.merged.calls_per_event",
+     "merged-trace synthesis Python calls/event", COUNTER_TOLERANCE),
+    ("micro.synthesis.single.calls_per_event",
+     "single-trace synthesis Python calls/event", COUNTER_TOLERANCE),
+    ("store.encode.speedup_vs_json", "binary store encode speedup", None),
+    ("store.decode.speedup_vs_json", "binary store decode speedup", None),
+    ("store.synthesis.speedup_vs_inline", "store synthesis vs inline ratio", None),
     # Deterministic bytes ratio, not a timing: v3 selective reads must
     # keep inflating far fewer section bytes than a full decode.
-    ("store.selective_read.walk_inflate_ratio", "selective walk read inflation ratio"),
-    ("service.ingest.speedup_vs_rebuild", "incremental service ingest vs per-commit rebuild"),
+    ("store.selective_read.walk_inflate_ratio", "selective walk read inflation ratio", None),
+    ("service.ingest.speedup_vs_rebuild",
+     "incremental service ingest vs per-commit rebuild", None),
 )
 
 
@@ -822,14 +802,14 @@ def _dig(payload: Dict[str, Any], dotted: str) -> Optional[float]:
 def check_regression(
     current: Dict[str, Any], baseline: Dict[str, Any], factor: float = 2.0
 ) -> List[str]:
-    """Compare speedup ratios against the committed baseline.
+    """Compare :data:`REGRESSION_METRICS` against the committed baseline.
 
-    Returns human-readable failure strings for every metric that
-    regressed by more than ``factor`` (current worse than baseline /
-    factor).  Absolute events/sec are machine-dependent and excluded.
+    Returns human-readable failure strings for every counter that grew
+    past its tolerance and every speedup ratio that fell by more than
+    ``factor``.  Absolute events/sec are machine-dependent and excluded.
     """
     failures: List[str] = []
-    for dotted, label in REGRESSION_METRICS:
+    for dotted, label, tolerance in REGRESSION_METRICS:
         now = _dig(current, dotted)
         then = _dig(baseline, dotted)
         if now is None or then is None:
@@ -837,6 +817,14 @@ def check_regression(
             # would let a schema rename hollow out the CI gate.
             missing = "current run" if now is None else "committed baseline"
             failures.append(f"{label}: metric {dotted!r} missing from {missing}")
+            continue
+        if tolerance is not None:
+            ceiling = then * (1 + tolerance)
+            if now > ceiling:
+                failures.append(
+                    f"{label} regressed: {now:.4f} > {ceiling:.4f} "
+                    f"(committed {then:.4f} + {tolerance:.0%})"
+                )
             continue
         floor = then / factor
         if now < floor:
@@ -861,21 +849,18 @@ def format_report(payload: Dict[str, Any]) -> str:
         f"{synth['merged']['events']} events, {synth['merged']['pids']} pids): "
         f"{synth['merged']['new_s'] * 1000:.1f} ms, "
         f"{synth['merged']['events_per_sec'] / 1e6:.2f} Mev/s, "
-        f"{synth['merged']['speedup']:.2f}x vs legacy",
+        f"{synth['merged']['calls_per_event']:.2f} calls/event",
         f"synthesis single  ({synth['single']['events']} events): "
         f"{synth['single']['new_s'] * 1000:.1f} ms, "
-        f"{synth['single']['speedup']:.2f}x vs legacy",
+        f"{synth['single']['calls_per_event']:.2f} calls/event",
         f"sim               ({sim['trace_events']} trace events / "
         f"{sim['sim_seconds']} sim-s): {sim['new_s']:.3f} s, "
         f"{sim['events_per_sec'] / 1e3:.0f} kev/s, "
-        f"{sim['speedup_vs_legacy']:.2f}x vs legacy stack, "
-        f"{sim['calls_per_event']:.1f} calls/event "
-        f"(legacy {sim['legacy_calls_per_event']:.1f}, "
-        f"{sim['call_reduction_vs_legacy']:.2f}x fewer)",
+        f"{sim['calls_per_event']:.2f} calls/event",
         f"table2 batch      ({batch['runs']} x {batch['duration_s']} s): "
         f"{batch['new_s']:.3f} s"
         + (
-            f", {batch['speedup']:.2f}x vs pre-change tree"
+            f", {batch['speedup']:.2f}x vs baseline tree"
             if "speedup" in batch
             else ""
         ),

@@ -15,8 +15,8 @@ Ready-set polling order mirrors rclcpp's wait-set ordering: timers,
 then subscriptions, then services, then clients.
 
 Hot-loop engineering (this is where most simulated events originate;
-the pre-overhaul shape is preserved in :mod:`repro._legacy.ros2` and
-pinned byte-identical by ``tests/test_perf_equivalence.py``):
+pinned byte-identical to the pre-overhaul dispatch loop by the golden
+trace digests of ``tests/test_perf_equivalence.py``):
 
 * the historical ``yield from`` trampoline chain (``activity`` ->
   ``SymbolTable.call_gen`` -> ``_execute_*`` -> ``_run_callback`` ->

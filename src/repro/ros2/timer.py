@@ -56,16 +56,8 @@ class Timer:
         if self._started:
             return
         self._started = True
-        # Cache the arming call for the per-tick re-arm: the token API
-        # (``post_after``) when the kernel has one, else plain
-        # ``schedule_after`` so the timer stays usable on every kernel,
-        # including the frozen legacy one.
-        kernel = self.node.world.kernel
-        post_after = getattr(kernel, "post_after", None)
-        if post_after is not None:
-            self._arm = post_after
-        else:
-            self._arm = lambda delay, fn: kernel.schedule_after(delay, fn)
+        # Cache the token-API arming call for the per-tick re-arm.
+        self._arm = self.node.world.kernel.post_after
         self._arm(self.phase_ns, self._tick)
 
     def _tick(self) -> None:

@@ -493,9 +493,10 @@ class ScenarioSpec:
         self.validate()
         node_by_name: Dict[str, Node] = {}
         for ns in self.nodes:
-            # Derived params only matter to the non-default policies;
-            # omitting them under "priority" keeps the build compatible
-            # with the frozen legacy substrate the perf harness injects.
+            # Derived params only matter to the non-default policies.  A
+            # "priority" spec passes none, so a world run under another
+            # policy uses that policy's defaults (the policy-matrix
+            # golden traces pin this).
             params = (
                 self.derived_sched_params(ns.name)
                 if self.policy != "priority"

@@ -12,9 +12,7 @@ sequence number makes ordering of same-timestamp events deterministic
 (FIFO), which in turn makes every experiment in this repository
 reproducible bit-for-bit.
 
-Two kernels share that contract:
-
-:class:`SimKernel` (the default) is slab-backed.  Event state lives in
+:class:`SimKernel` is slab-backed.  Event state lives in
 parallel arrays (``_slot_seq`` / ``_slot_fn`` / ``_slot_args``) indexed
 by a recycled *slot* number, and the heap holds bare ``(time, priority,
 seq, slot)`` integer tuples -- no per-event handle object on the hot
@@ -33,26 +31,19 @@ token API:
 ``schedule_at`` / ``schedule_after`` remain for casual users and return
 a slim :class:`EventHandle` view over the same slab.
 
-:class:`HeapKernel` is the original handle-per-event implementation,
-kept verbatim as an executable reference: ``World(kernel_cls=HeapKernel)``
-runs any experiment on it, and the equivalence suite pins both kernels
-to byte-identical traces.
-
-Both kernels count cancellations (dominated by the scheduler's
+The kernel counts cancellations (dominated by the scheduler's
 per-dispatch timeslice timers) and, once cancelled entries exceed half
-the queue, compact the heap in one O(n) pass + heapify instead of
+the queue, compacts the heap in one O(n) pass + heapify instead of
 leaking dead weight through pops.  The rebuilt heap holds the same
 pending set under the same total order, so event delivery is unchanged
-bit for bit.  Queues shorter than ``compact_min_queue`` (a constructor
-parameter, default ``_COMPACT_MIN_QUEUE``) are never compacted -- the
-O(n) rebuild would cost more than popping the few cancelled entries
-lazily.  ``kernel.cancelled`` / ``kernel.compactions`` expose lifetime
-counters for both.
+bit for bit.  Queues shorter than ``compact_min_queue`` (an instance
+attribute, ``_COMPACT_MIN_QUEUE`` = 64) are never compacted -- the O(n)
+rebuild would cost more than popping the few cancelled entries lazily.
+``kernel.cancelled`` / ``kernel.compactions`` expose lifetime counters.
 """
 
 from __future__ import annotations
 
-from functools import partial
 from heapq import heapify, heappop, heappush
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -61,7 +52,7 @@ USEC = 1_000
 MSEC = 1_000_000
 SEC = 1_000_000_000
 
-#: Default compaction floor (see ``compact_min_queue``).
+#: Compaction floor (see ``SimKernel.compact_min_queue``).
 _COMPACT_MIN_QUEUE = 64
 
 #: Token layout: low ``_SLOT_BITS`` bits carry the slot index, the rest
@@ -115,10 +106,6 @@ class SimKernel:
     ----------
     start:
         Initial clock value (ns).
-    compact_min_queue:
-        Queues shorter than this are never compacted; raise it to trade
-        memory for fewer O(n) rebuilds, lower it (>= 0) to compact
-        aggressively.
 
     Example
     -------
@@ -131,16 +118,15 @@ class SimKernel:
     [5, 10]
     """
 
-    def __init__(self, start: int = 0, compact_min_queue: int = _COMPACT_MIN_QUEUE) -> None:
+    def __init__(self, start: int = 0) -> None:
         if start < 0:
             raise ValueError("start time must be >= 0")
-        if compact_min_queue < 0:
-            raise ValueError("compact_min_queue must be >= 0")
         self._now = start
         self._queue: List[_Entry] = []
         self._seq = 0
         self._running = False
-        self.compact_min_queue = compact_min_queue
+        #: Queues shorter than this are never compacted.
+        self.compact_min_queue = _COMPACT_MIN_QUEUE
         #: Lifetime counters (cancels observed / heap compactions run).
         self.cancelled = 0
         self.compactions = 0
@@ -367,187 +353,3 @@ class SimKernel:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"SimKernel(now={self._now}, pending={self.pending_count()})"
-
-
-# ---------------------------------------------------------------------------
-# Reference implementation
-# ---------------------------------------------------------------------------
-
-
-class HeapEventHandle:
-    """Handle returned by :class:`HeapKernel` scheduling calls.
-
-    Carries its own state (the pre-slab design): cancellation flips a
-    flag the run loop re-checks on pop.
-    """
-
-    __slots__ = ("time", "priority", "seq", "fn", "cancelled", "_kernel")
-
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        fn: Callable[[], None],
-        kernel: Optional["HeapKernel"] = None,
-    ):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn: Optional[Callable[[], None]] = fn
-        self.cancelled = False
-        self._kernel = kernel
-
-    def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        was_pending = self.fn is not None and not self.cancelled
-        self.cancelled = True
-        self.fn = None
-        # Notify only after flipping the state: a compaction triggered
-        # by this notification must see the handle as non-pending, or
-        # the dead entry survives the rebuild and the counter drifts.
-        if was_pending and self._kernel is not None:
-            self._kernel._note_cancelled()
-
-    @property
-    def pending(self) -> bool:
-        """True while the event has neither fired nor been cancelled."""
-        return not self.cancelled and self.fn is not None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "cancelled" if self.cancelled else "pending"
-        return f"HeapEventHandle(t={self.time}, seq={self.seq}, {state})"
-
-
-class HeapKernel:
-    """The pre-slab kernel: one :class:`HeapEventHandle` per event.
-
-    Behaviour-identical to :class:`SimKernel` (the equivalence suite
-    pins both to byte-identical traces); kept as the readable reference
-    and as the cross-check target -- run any experiment on it via
-    ``World(kernel_cls=HeapKernel)``.  The token API is provided as a
-    thin shim over handles so callers are kernel-agnostic.
-    """
-
-    def __init__(self, start: int = 0, compact_min_queue: int = _COMPACT_MIN_QUEUE) -> None:
-        if start < 0:
-            raise ValueError("start time must be >= 0")
-        if compact_min_queue < 0:
-            raise ValueError("compact_min_queue must be >= 0")
-        self._now = start
-        self._queue: List[Tuple[int, int, int, HeapEventHandle]] = []
-        self._seq = 0
-        self._running = False
-        self.compact_min_queue = compact_min_queue
-        self.cancelled = 0
-        self.compactions = 0
-        self._cancelled_in_queue = 0
-
-    @property
-    def now(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now
-
-    def schedule_at(
-        self, time: int, fn: Callable[[], None], priority: int = 0
-    ) -> HeapEventHandle:
-        """Schedule ``fn`` to run at absolute time ``time``."""
-        if time < self._now:
-            raise ValueError(
-                f"cannot schedule at t={time} (now={self._now}): time is in the past"
-            )
-        self._seq += 1
-        handle = HeapEventHandle(time, priority, self._seq, fn, self)
-        heappush(self._queue, (time, priority, self._seq, handle))
-        return handle
-
-    def schedule_after(
-        self, delay: int, fn: Callable[[], None], priority: int = 0
-    ) -> HeapEventHandle:
-        """Schedule ``fn`` to run ``delay`` nanoseconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        time = self._now + delay
-        self._seq += 1
-        handle = HeapEventHandle(time, priority, self._seq, fn, self)
-        heappush(self._queue, (time, priority, self._seq, handle))
-        return handle
-
-    def post_after(
-        self, delay: int, fn: Callable, args: tuple = (), priority: int = 0
-    ) -> HeapEventHandle:
-        """Token-API shim: the handle itself is the token."""
-        if args:
-            fn = partial(fn, *args)
-        return self.schedule_after(delay, fn, priority)
-
-    def cancel(self, token: HeapEventHandle) -> bool:
-        """Token-API shim over :meth:`HeapEventHandle.cancel`."""
-        was_pending = token.pending
-        token.cancel()
-        return was_pending
-
-    def pending_count(self) -> int:
-        """Number of not-yet-cancelled events in the queue."""
-        return sum(1 for entry in self._queue if entry[3].pending)
-
-    def _note_cancelled(self) -> None:
-        """A pending handle was cancelled; compact once dead weight wins."""
-        self.cancelled += 1
-        self._cancelled_in_queue += 1
-        if (
-            len(self._queue) >= self.compact_min_queue
-            and self._cancelled_in_queue * 2 > len(self._queue)
-        ):
-            self._queue = [entry for entry in self._queue if entry[3].pending]
-            heapify(self._queue)
-            self._cancelled_in_queue = 0
-            self.compactions += 1
-
-    def step(self) -> bool:
-        """Run the next pending event.  Returns False when queue is empty."""
-        queue = self._queue
-        while queue:
-            handle = heappop(queue)[3]
-            fn = handle.fn
-            if fn is None or handle.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            handle.fn = None
-            self._now = handle.time
-            fn()
-            return True
-        return False
-
-    def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
-        """Run events until the queue drains, ``until`` is reached, or
-        ``max_events`` events have fired."""
-        if self._running:
-            raise RuntimeError("HeapKernel.run() is not reentrant")
-        self._running = True
-        fired = 0
-        pop = heappop
-        try:
-            while fired != max_events:
-                queue = self._queue
-                while queue and not queue[0][3].pending:
-                    pop(queue)
-                    self._cancelled_in_queue -= 1
-                if not queue:
-                    break
-                if until is not None and queue[0][0] > until:
-                    break
-                handle = pop(queue)[3]
-                fn = handle.fn
-                handle.fn = None
-                self._now = handle.time
-                fn()
-                fired += 1
-            if until is not None and until > self._now:
-                self._now = until
-        finally:
-            self._running = False
-        return fired
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"HeapKernel(now={self._now}, pending={self.pending_count()})"

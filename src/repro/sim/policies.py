@@ -20,8 +20,9 @@ Four policies ship:
     blocking point).  This class is a *verbatim extraction* of the
     pre-refactor scheduler internals -- the ready ladder, the
     dirty-CPU victim scan, the rotation test -- and is pinned
-    byte-identical to the frozen ``repro._legacy`` scheduler by
-    ``tests/test_perf_equivalence.py``.  Do not "improve" it.
+    byte-identical to the pre-refactor scheduler by the golden trace
+    digests of ``tests/test_perf_equivalence.py``.  Do not "improve"
+    it.
 ``psjf``
     Preemptive shortest-job-first: the runnable thread with the
     smallest expected remaining compute wins; a waking short job
@@ -183,8 +184,8 @@ class PriorityRoundRobin(SchedulingPolicy):
     """Strict priority preemption + round-robin inside a priority band.
 
     Verbatim extraction of the pre-refactor scheduler's ready ladder
-    and victim scan; pinned byte-identical to ``repro._legacy`` by
-    ``tests/test_perf_equivalence.py``.
+    and victim scan; pinned byte-identical to it by the golden trace
+    digests of ``tests/test_perf_equivalence.py``.
     """
 
     name = "priority"

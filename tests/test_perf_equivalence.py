@@ -1,59 +1,58 @@
-"""Equivalence pins for the PR-2 performance overhaul.
+"""Golden pins for the optimized simulation and synthesis stack.
 
-Three layers of guarantees, each against the frozen pre-change
-implementations in :mod:`repro._legacy`:
+``tests/data/golden_digests.json`` holds sha256 digests of fixed-input
+outputs.  When they were generated they equalled, byte for byte, the
+outputs of the pre-optimization kernel/scheduler/tracer/Alg. 1/Alg. 2
+stack and of the handle-per-event reference kernel; the digests now
+stand in for both:
 
-1. **golden synthesis** -- for every registry scenario, the optimized
-   TraceIndex pipeline must produce byte-identical DAG JSON, exec-time
-   tables and DOT exports;
-2. **full-stack sim** -- the optimized kernel/scheduler/tracer stack
-   must emit bit-identical traces;
-3. **Alg. 2 properties** -- the columnar ``SchedIndex`` must agree with
-   both the literal ``get_exec_time`` and the frozen object-walking
-   index on arbitrary event soups.
+1. **scenarios** -- for every registry scenario (run 0, 1.5 s): the
+   traced run's ``Trace.to_dict()`` as canonical JSON, and the
+   synthesized DAG JSON, exec-time table and DOT export;
+2. **merged** -- the 2-run ``avp-interference`` DAG synthesized from the
+   merged trace (Fig. 2's "merge traces" strategy);
+3. **policies** -- traces of two scenarios under every scheduling
+   policy.
 
-Plus the batch determinism re-check: ``--jobs`` must not change results
-now that synthesis flows through ``TraceIndex``.
+A failing pin names the scenario, the artefact kind and the new digest.
+Alg. 2 properties compare the columnar ``SchedIndex`` against the
+literal ``get_exec_time`` on arbitrary event soups, and the batch check
+asserts ``--jobs`` does not change results.
 """
 
+import hashlib
 import json
+import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro._legacy import LegacySchedIndex, legacy_extract_all
-from repro._legacy.tracing.session import TracingSession as LegacyTracingSession
-from repro._legacy.world import World as LegacyWorld
 from repro.core import (
     SchedIndex,
     dag_to_json,
     format_exec_table,
     get_exec_time,
-    synthesize_dag,
     synthesize_from_trace,
     to_dot,
 )
 from repro.core.merge import dag_from_merged_traces, merge_dags
-from repro.experiments import BatchConfig, RunConfig, run_batch, run_once
+from repro.experiments import BatchConfig, RunConfig, run_batch
 from repro.scenarios import build_scenario_spec, scenario_names
-from repro.sim import SEC, HeapKernel, SchedSwitch, SimKernel
+from repro.sim import SEC, SchedSwitch
 from repro.sim.policies import POLICY_NAMES
 from repro.tracing.session import Trace, TracingSession
 from repro.world import World
 
 DURATION_NS = int(1.5 * SEC)
+GOLDEN_PATH = pathlib.Path(__file__).parent / "data" / "golden_digests.json"
+POLICY_SCENARIOS = ("avp-interference", "service-mesh")
+MERGED_SCENARIO = "avp-interference"
 
 
-def _traced_run(
-    name,
-    run_index=0,
-    world_cls=World,
-    session_cls=TracingSession,
-    **world_kwargs,
-):
+def _traced_run(name, run_index=0, **world_kwargs):
     spec = build_scenario_spec(name, run_index=run_index, runs=3)
     config = RunConfig(duration_ns=DURATION_NS, num_cpus=spec.num_cpus)
-    world = world_cls(
+    world = World(
         num_cpus=config.num_cpus,
         seed=config.seed_for(run_index),
         timeslice=config.timeslice_ns,
@@ -63,7 +62,7 @@ def _traced_run(
         **world_kwargs,
     )
     spec.build(world)
-    session = session_cls(world, kernel_filter=config.kernel_filter)
+    session = TracingSession(world, kernel_filter=config.kernel_filter)
     session.start_init()
     world.launch()
     world.run(for_ns=config.warmup_ns)
@@ -74,50 +73,81 @@ def _traced_run(
     return session.trace()
 
 
+def digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def trace_digest(trace):
+    return digest(json.dumps(trace.to_dict(), sort_keys=True))
+
+
+def scenario_digests(trace):
+    """Digests of one traced run and of the DAG synthesized from it."""
+    dag = synthesize_from_trace(trace)
+    return {
+        "trace": trace_digest(trace),
+        "dag_json": digest(dag_to_json(dag)),
+        "exec_table": digest(format_exec_table(dag)),
+        "dot": digest(to_dot(dag)),
+    }
+
+
+def assert_pinned(pinned, new, what):
+    assert new == pinned, f"{what}: output changed; new digest {new}"
+
+
+def _check_scenario(name, kind, golden, scenario_outputs):
+    assert_pinned(
+        golden["scenarios"][name][kind],
+        scenario_outputs[name][kind],
+        f"scenario {name} {kind}",
+    )
+
+
 @pytest.fixture(scope="module")
-def traces_by_scenario():
-    return {name: _traced_run(name) for name in scenario_names()}
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def scenario_outputs():
+    return {name: scenario_digests(_traced_run(name)) for name in scenario_names()}
 
 
 class TestGoldenSynthesisEquivalence:
-    """Optimized pipeline == frozen pre-change pipeline, byte for byte."""
-
-    @pytest.fixture(scope="class", autouse=True)
-    def _dags(self, traces_by_scenario):
-        type(self).new_dags = {
-            name: synthesize_from_trace(trace)
-            for name, trace in traces_by_scenario.items()
-        }
-        type(self).legacy_dags = {
-            name: synthesize_dag(legacy_extract_all(trace))
-            for name, trace in traces_by_scenario.items()
-        }
+    """Synthesized DAGs of every registry scenario, byte for byte."""
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_dag_json_identical(self, name):
-        assert dag_to_json(self.new_dags[name]) == dag_to_json(
-            self.legacy_dags[name]
-        )
+    def test_dag_json_identical(self, name, golden, scenario_outputs):
+        _check_scenario(name, "dag_json", golden, scenario_outputs)
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_exec_table_identical(self, name):
-        assert format_exec_table(self.new_dags[name]) == format_exec_table(
-            self.legacy_dags[name]
-        )
+    def test_exec_table_identical(self, name, golden, scenario_outputs):
+        _check_scenario(name, "exec_table", golden, scenario_outputs)
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_dot_identical(self, name):
-        assert to_dot(self.new_dags[name]) == to_dot(self.legacy_dags[name])
+    def test_dot_identical(self, name, golden, scenario_outputs):
+        _check_scenario(name, "dot", golden, scenario_outputs)
+
+
+class TestFullStackSimEquivalence:
+    """Kernel/scheduler/tracing stack: traces bit for bit."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_traces_identical(self, name, golden, scenario_outputs):
+        _check_scenario(name, "trace", golden, scenario_outputs)
 
 
 class TestMergedTraceEquivalence:
     """Strategy 1 (merge traces, then synthesize): the O(P*N) path."""
 
-    def test_merged_synthesis_identical(self):
-        traces = [_traced_run("avp-interference", run_index=i) for i in range(2)]
-        new_dag = dag_from_merged_traces(traces)
-        legacy_dag = synthesize_dag(legacy_extract_all(Trace.merge(traces)))
-        assert dag_to_json(new_dag) == dag_to_json(legacy_dag)
+    def test_merged_synthesis_identical(self, golden):
+        traces = [_traced_run(MERGED_SCENARIO, run_index=i) for i in range(2)]
+        assert_pinned(
+            golden["merged"][MERGED_SCENARIO],
+            digest(dag_to_json(dag_from_merged_traces(traces))),
+            f"merged {MERGED_SCENARIO} dag_json",
+        )
 
     def test_trace_merge_round_trips_serialization(self):
         traces = [_traced_run("syn", run_index=i) for i in range(2)]
@@ -128,45 +158,31 @@ class TestMergedTraceEquivalence:
         assert restored.to_dict() == merged.to_dict()
 
 
-class TestFullStackSimEquivalence:
-    """New kernel/scheduler/tracing stack == frozen stack, bit for bit."""
-
-    @pytest.mark.parametrize("name", scenario_names())
-    def test_traces_identical(self, name, traces_by_scenario):
-        legacy_trace = _traced_run(
-            name, world_cls=LegacyWorld, session_cls=LegacyTracingSession
-        )
-        assert traces_by_scenario[name].to_dict() == legacy_trace.to_dict()
-
-
 class TestPolicyMatrixEquivalence:
-    """The slab-kernel fast path stays bit-identical across the PR 9
-    policy matrix.
+    """Every scheduling policy on two scenarios.  These runs drive every
+    lazy-arming and token-cancel path of the scheduler; the pinned
+    digests are the traces the handle-per-event reference kernel
+    produced for the same runs."""
 
-    The frozen legacy stack predates pluggable policies (its default is
-    the priority/RR policy pinned against it above), so for the other
-    three policies the pin is the flagged reference substrate: the same
-    world with ``kernel_cls=HeapKernel`` -- handle objects and
-    ``pending``-recheck run loop instead of the slab's parallel arrays
-    and generation tags.  Every lazy-arming and token-cancel path in the
-    scheduler runs on both kernels here.
-    """
-
-    @pytest.mark.parametrize("name", ["avp-interference", "service-mesh"])
+    @pytest.mark.parametrize("name", POLICY_SCENARIOS)
     @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_slab_kernel_matches_heap_reference(self, name, policy):
-        slab = _traced_run(name, sched_policy=policy, kernel_cls=SimKernel)
-        reference = _traced_run(name, sched_policy=policy, kernel_cls=HeapKernel)
-        assert slab.to_dict() == reference.to_dict()
+    def test_slab_kernel_matches_heap_reference(self, name, policy, golden):
+        assert_pinned(
+            golden["policies"][name][policy],
+            trace_digest(_traced_run(name, sched_policy=policy)),
+            f"scenario {name} policy {policy} trace",
+        )
 
-    def test_default_policy_is_the_legacy_pinned_one(self):
-        """``sched_policy="priority"`` == the default-policy stack that
-        the legacy comparison above pins, closing the matrix: priority
-        is pinned to legacy, and every policy is pinned to the reference
-        kernel."""
-        explicit = _traced_run("avp-interference", sched_policy="priority")
-        default = _traced_run("avp-interference")
-        assert explicit.to_dict() == default.to_dict()
+    def test_default_policy_is_the_legacy_pinned_one(self, golden):
+        """The explicit ``priority`` pin names the same trace as the
+        default-policy scenario pin, which the pre-optimization stack
+        produced: priority is pinned to that stack, and every policy to
+        the reference kernel."""
+        for name in POLICY_SCENARIOS:
+            assert (
+                golden["policies"][name]["priority"]
+                == golden["scenarios"][name]["trace"]
+            ), name
 
 
 class TestBatchDeterminismThroughTraceIndex:
@@ -176,14 +192,6 @@ class TestBatchDeterminismThroughTraceIndex:
         parallel = run_batch("sensor-fusion", runs=2, jobs=2, config=config)
         assert dag_to_json(serial.merged_dag) == dag_to_json(parallel.merged_dag)
         assert serial.table() == parallel.table()
-
-    def test_golden_exec_table_stability(self, traces_by_scenario):
-        """Exec tables are reproducible run-to-run (same seeds)."""
-        for name, trace in traces_by_scenario.items():
-            again = _traced_run(name)
-            assert format_exec_table(
-                synthesize_from_trace(again)
-            ) == format_exec_table(synthesize_from_trace(trace)), name
 
 
 def switch(ts, prev_pid, next_pid, cpu=0):
@@ -220,25 +228,14 @@ class TestColumnarSchedIndexProperties:
             start, end, pid, soup
         )
 
-    @given(
-        soup=event_soup(),
-        start=st.integers(min_value=0, max_value=5000),
-        width=st.integers(min_value=0, max_value=5000),
-        pid=st.sampled_from([1, 2, 3]),
-    )
-    @settings(max_examples=200)
-    def test_columnar_equals_frozen_object_index(self, soup, start, width, pid):
-        end = start + width
-        assert SchedIndex(soup).exec_time(start, end, pid) == LegacySchedIndex(
-            soup
-        ).exec_time(start, end, pid)
-
     @given(soup=event_soup(), pid=st.sampled_from([1, 2, 3]))
     @settings(max_examples=100)
-    def test_events_for_matches_frozen_index(self, soup, pid):
-        assert SchedIndex(soup).events_for(pid) == LegacySchedIndex(
-            soup
-        ).events_for(pid)
+    def test_events_for_matches_literal_filter(self, soup, pid):
+        literal = sorted(
+            (e for e in soup if pid in (e.prev_pid, e.next_pid)),
+            key=lambda e: e.ts,
+        )
+        assert SchedIndex(soup).events_for(pid) == literal
 
 
 class TestMergeSemantics:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import HeapKernel, MSEC, SEC, SimKernel, USEC
+from repro.sim import MSEC, SEC, SimKernel, USEC
 from repro.sim.kernel import _COMPACT_MIN_QUEUE
 
 
@@ -226,19 +226,21 @@ class TestPostAfterTokens:
         assert fired == ["early", "handle", "token"]
 
 
-@pytest.mark.parametrize("kernel_cls", [SimKernel, HeapKernel])
+def _kernel(floor=None):
+    kernel = SimKernel()
+    if floor is not None:
+        kernel.compact_min_queue = floor
+    return kernel
+
+
 class TestCompaction:
-    """cancelled/compactions counters and the compact_min_queue knob."""
+    """cancelled/compactions counters and the compaction floor."""
 
-    def test_invalid_threshold_rejected(self, kernel_cls):
-        with pytest.raises(ValueError):
-            kernel_cls(compact_min_queue=-1)
+    def test_default_threshold_is_the_documented_constant(self):
+        assert SimKernel().compact_min_queue == _COMPACT_MIN_QUEUE == 64
 
-    def test_default_threshold_is_the_documented_constant(self, kernel_cls):
-        assert kernel_cls().compact_min_queue == _COMPACT_MIN_QUEUE == 64
-
-    def test_small_queues_never_compact(self, kernel_cls):
-        kernel = kernel_cls()  # default floor: 64
+    def test_small_queues_never_compact(self):
+        kernel = _kernel()  # default floor: 64
         handles = [kernel.schedule_at(i + 1, lambda: None) for i in range(20)]
         for handle in handles[:15]:
             handle.cancel()
@@ -246,10 +248,10 @@ class TestCompaction:
         assert kernel.compactions == 0
         kernel.run()
 
-    def test_majority_cancelled_triggers_compaction(self, kernel_cls):
+    def test_majority_cancelled_triggers_compaction(self):
         """Compaction fires once cancelled entries *exceed* half the
         queue (20 of 40 is not enough; the 21st trips it)."""
-        kernel = kernel_cls(compact_min_queue=0)
+        kernel = _kernel(floor=0)
         fired = []
         handles = [
             kernel.schedule_at(i + 1, (lambda i=i: fired.append(i)))
@@ -264,9 +266,9 @@ class TestCompaction:
         kernel.run()
         assert fired == list(range(2, 40, 2))
 
-    def test_threshold_does_not_change_results(self, kernel_cls):
+    def test_threshold_does_not_change_results(self):
         """Compaction is invisible: identical fire order at both
-        extremes of the knob."""
+        extremes of the floor."""
 
         def drive(kernel):
             fired = []
@@ -275,54 +277,24 @@ class TestCompaction:
                 handles[i] = kernel.schedule_at(
                     (i * 13) % 97 + 1, (lambda i=i: fired.append(i)), priority=i % 3
                 )
-            for i in range(0, 60, 3):
-                handles[i].cancel()
+            # Two in three: past the majority, so the eager side compacts.
+            for i in range(60):
+                if i % 3:
+                    handles[i].cancel()
             kernel.run()
-            return fired, kernel.cancelled
+            return fired, kernel.cancelled, kernel.compactions
 
-        eager, eager_cancels = drive(kernel_cls(compact_min_queue=0))
-        never, never_cancels = drive(kernel_cls(compact_min_queue=1 << 30))
+        eager, eager_cancels, eager_compactions = drive(_kernel(0))
+        never, never_cancels, never_compactions = drive(_kernel(1 << 30))
         assert eager == never
-        assert eager_cancels == never_cancels == 20
-
-
-class TestHeapKernelReferenceContract:
-    """The flagged reference kernel honors the same core contract."""
-
-    def test_ordering_and_ties(self):
-        kernel = HeapKernel()
-        fired = []
-        kernel.schedule_at(10, lambda: fired.append("b"))
-        kernel.schedule_at(10, lambda: fired.append("c"))
-        kernel.schedule_at(5, lambda: fired.append("a"))
-        kernel.schedule_at(10, lambda: fired.append("z"), priority=-1)
-        kernel.run()
-        assert fired == ["a", "z", "b", "c"]
-
-    def test_post_after_token_contract_matches_slab(self):
-        kernel = HeapKernel()
-        fired = []
-        token = kernel.post_after(4, fired.append, ("x",))
-        kernel.post_after(2, fired.append, ("y",))
-        assert kernel.cancel(token) is True
-        assert kernel.cancel(token) is False
-        kernel.run()
-        assert fired == ["y"]
-
-    def test_run_until_matches_slab(self):
-        for kernel in (SimKernel(), HeapKernel()):
-            fired = []
-            kernel.schedule_at(5, lambda: fired.append(5))
-            kernel.schedule_at(15, lambda: fired.append(15))
-            kernel.run(until=10)
-            assert fired == [5]
-            assert kernel.now == 10
+        assert eager_cancels == never_cancels == 40
+        assert eager_compactions > 0 and never_compactions == 0
 
 
 class TestEventHandleOrderingRemoved:
-    """The heap keys on (time, priority, seq) tuples since PR 2, so
-    handles carry no ordering; pin the removal so ``__lt__`` can't
-    silently return (and rot unexercised) in either implementation."""
+    """The heap keys on (time, priority, seq) tuples, so handles carry
+    no ordering; pin the removal so ``__lt__`` can't silently return
+    (and rot unexercised)."""
 
     def test_slab_handles_do_not_order(self):
         kernel = SimKernel()
@@ -330,10 +302,3 @@ class TestEventHandleOrderingRemoved:
         b = kernel.schedule_at(2, lambda: None)
         with pytest.raises(TypeError):
             a < b  # noqa: B015 -- the raise *is* the assertion
-
-    def test_heap_handles_do_not_order(self):
-        kernel = HeapKernel()
-        a = kernel.schedule_at(1, lambda: None)
-        b = kernel.schedule_at(2, lambda: None)
-        with pytest.raises(TypeError):
-            a < b  # noqa: B015
