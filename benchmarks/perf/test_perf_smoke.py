@@ -2,9 +2,9 @@
 
 Runs the full suite at the reduced ``smoke`` scale (a couple of
 seconds), prints the report for comparison with the committed
-``BENCH_9.smoke.json`` baseline, and sanity-checks the
+``BENCH_10.smoke.json`` baseline, and sanity-checks the
 machine-independent counters and speedup ratios.  CI's perf-smoke job
-additionally runs ``repro perf --check BENCH_9.smoke.json``, which fails
+additionally runs ``repro perf --check BENCH_10.smoke.json``, which fails
 when a Python calls/event counter grew more than 5% or a speedup ratio
 regressed more than 2x.
 
@@ -24,7 +24,7 @@ SCALE = "full" if os.environ.get("REPRO_FULL", "") == "1" else "smoke"
 
 #: Baselines are per-scale: speedup ratios shrink with trace size, so a
 #: smoke run is only comparable to the committed smoke-scale baseline.
-BASELINE_PATH = REPO_ROOT / ("BENCH_9.smoke.json" if SCALE == "smoke" else "BENCH_9.json")
+BASELINE_PATH = REPO_ROOT / ("BENCH_10.smoke.json" if SCALE == "smoke" else "BENCH_10.json")
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_service_ingest_beats_per_commit_rebuild(suite):
 def test_no_regression_vs_committed_baseline(suite):
     """The gate CI enforces, exercised in-process as well."""
     if not BASELINE_PATH.exists():
-        pytest.skip("no committed BENCH_9 baseline")
+        pytest.skip("no committed BENCH_10 baseline")
     committed = json.loads(BASELINE_PATH.read_text())
     failures = check_regression(suite, committed, factor=2.0)
     assert failures == [], "\n".join(failures)

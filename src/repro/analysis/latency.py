@@ -15,13 +15,14 @@ Implements the extensions sketched in the paper's Sec. VII:
 
 All three analyses run off one :class:`LatencyIndex`, built in a single
 pass over a chronological row stream ``(ts, pid, code, payload)`` --
-either adapted from an in-memory :class:`~repro.tracing.session.Trace`
-(:meth:`LatencyIndex.from_trace`) or streamed straight from stored
+the fields Alg. 1's :class:`~repro.core.index.TraceIndex` consumes --
+either zipped from an in-memory :class:`~repro.tracing.session.Trace`'s
+columns (:func:`~repro.core.index.event_columns`,
+:meth:`LatencyIndex.from_trace`) or streamed straight from stored
 segments without materializing a trace
 (:func:`repro.analysis.store.latency_index_from_store`).  The row codes
 are the integer probe codes of :mod:`repro.core.index`; ``payload`` is
-only dereferenced for take (P6) and ``dds_write`` (P16) rows, matching
-the aux contract of ``SegmentReader.walk_rows``.
+only dereferenced for take (P6) and ``dds_write`` (P16) rows.
 """
 
 from __future__ import annotations
@@ -30,20 +31,21 @@ import bisect
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.index import (
     CODE_CB_END,
     CODE_CB_START,
     CODE_DDS_WRITE,
-    CODE_OTHER,
     CODE_TAKE,
-    PROBE_CODES,
     TopicKey,
+    event_columns,
 )
 from ..tracing.session import Trace
 
 _first = itemgetter(0)
+#: (ts, pid) of a SchedWakeup.
+_WAKEUP_FIELDS = itemgetter(0, 2)
 
 #: One hop record: (ts, topic, src_ts) of a dds_write, or (ts, src_ts)
 #: in the per-topic views.
@@ -61,14 +63,6 @@ class ChainLatency:
     @property
     def latency_ns(self) -> int:
         return self.end_ts - self.start_ts
-
-
-def _trace_rows(trace: Trace) -> Iterator[Tuple[int, int, int, Optional[dict]]]:
-    """Adapt a loaded trace's ROS events to the index's row stream."""
-    code_of = PROBE_CODES.get
-    for event in trace.ros_events:
-        # TraceEvent is a NamedTuple: ts=0, pid=1, probe=2, data=3.
-        yield event[0], event[1], code_of(event[2], CODE_OTHER), event[3]
 
 
 class LatencyIndex:
@@ -205,8 +199,8 @@ class LatencyIndex:
     @classmethod
     def from_trace(cls, trace: Trace) -> "LatencyIndex":
         return cls(
-            _trace_rows(trace),
-            ((w.ts, w.pid) for w in trace.wakeup_events),
+            zip(*event_columns(trace.ros_events)),
+            map(_WAKEUP_FIELDS, trace.wakeup_events),
         )
 
     # -- lookups -----------------------------------------------------------

@@ -37,9 +37,9 @@ Usage::
     python -m repro analyze DIR [--report chains,jitter,load] [--topics a,b]
                           [--pids 1,2,...] [--jobs 4] [--sources k1,k2]
                           [--sinks k3] [--waiting-pid PID]
-    python -m repro perf  [--scale smoke|default|full] [--out BENCH_9.json]
+    python -m repro perf  [--scale smoke|default|full] [--out BENCH_10.json]
                           [--baseline-src PATH] [--baseline-ref REF]
-                          [--check BENCH_9.smoke.json] [--factor 2.0]
+                          [--check BENCH_10.smoke.json] [--factor 2.0]
                           [--profile sim|synthesis|batch] [--top 25]
 
 Durations are in (simulated) seconds.  Every command prints the

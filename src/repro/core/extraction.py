@@ -3,15 +3,14 @@
 The algorithm exploits the single-threaded executor model: within one
 PID, every event between a CB-start and the next CB-end describes one
 execution of one callback.  It walks the node's ROS2 events in
-chronological order, assembling :class:`CallbackInstance` objects and
-folding them into a :class:`CBList`.
+chronological order, assembling callback instances and folding them
+into a :class:`CBList`.
 
-All lookup structures come from the single-pass
-:class:`~repro.core.index.TraceIndex`: per-PID chronological event
-views (no per-PID re-sort of the full stream), the columnar
-:class:`~repro.core.exec_time.SchedIndex`, and the cross-node
-association tables, which key by an event's *position* in the sorted
-stream rather than by ``id(event)``.
+All lookup structures come from the columnar
+:class:`~repro.core.index.TraceIndex`: per-PID chronological walk
+columns, the columnar :class:`~repro.core.exec_time.SchedIndex`, and the
+cross-node association tables, which key by a row's *position* in the
+chronological stream.
 
 Cross-node lookups follow the paper:
 
@@ -29,17 +28,17 @@ Topic names on service request/response paths are qualified with the
 caller/client CB ID (the paper's concatenation), which is what later
 splits a shared service into per-caller vertices.
 
-Two walks implement the state machine: :func:`_extract_pid_events`
-over event objects (the in-memory pipeline) and :class:`PidWalk` over
-store walk columns.  ``PidWalk`` is resumable -- its whole state
-persists between calls -- so the store's batch synthesis (one resume of
-an empty walk) and the live service (one resume per model over the
-rows appended since) share it.
+One walk implements the state machine: :class:`PidWalk`, over a PID's
+walk columns.  It is resumable -- its whole state persists between
+calls -- so in-memory synthesis and the store's batch synthesis (one
+resume of an empty walk per PID) and the live service (one resume per
+model over the rows appended since) share it through
+:func:`resume_walks`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..tracing.events import TraceEvent
 from ..tracing.session import Trace
@@ -48,15 +47,12 @@ from .index import (
     CODE_CB_END,
     CODE_CB_START,
     CODE_DDS_WRITE,
-    CODE_OTHER,
     CODE_SYNC_OP,
     CODE_TAKE,
     CODE_TAKE_REQUEST,
     CODE_TAKE_RESPONSE,
     CODE_TAKE_TYPE_ERASED,
     CODE_TIMER_CALL,
-    ID_EVENT_PROBES,
-    PROBE_CODES,
     TopicKey,
     TraceIndex,
 )
@@ -65,9 +61,6 @@ from .records import CBList
 #: Separator used when qualifying a service topic with a CB id.
 TOPIC_ID_SEPARATOR = "#"
 
-#: Backwards-compatible alias (the set now lives in repro.core.index).
-_ID_EVENT_PROBES = ID_EVENT_PROBES
-
 
 def cat(topic: str, cb_id: Optional[str]) -> str:
     """The paper's topic-name concatenation (unknown ids stay visible)."""
@@ -75,30 +68,22 @@ def cat(topic: str, cb_id: Optional[str]) -> str:
 
 
 class EventIndex:
-    """Cross-node lookups over a :class:`TraceIndex`'s association tables.
+    """FindCaller / FindClient over a :class:`TraceIndex`'s association
+    tables.
 
-    The tables are immutable for a given stream prefix; the FIFO caller
-    cursors belong to whoever walks (a :class:`PidWalk` keeps its own).
-    :meth:`find_caller` uses this object's cursor dict, so two
-    ``EventIndex`` objects over the same ``TraceIndex`` never observe
-    each other's state.
+    The tables only grow as the index consumes more rows; the FIFO
+    caller cursors belong to whoever walks (a :class:`PidWalk` keeps its
+    own).  ``_caller_cursor`` is a cursor dict that
+    :func:`_extract_pid_walk` shares across the PIDs it extracts.
 
     The ``*_match`` lookups also report *finality*: whether rows
-    appended to the stream later could change the match.  A store
-    index grows only by appending (writes and take_responses of a key
-    append, a take's dispatch flag is set once), so a final match stays
-    the match a from-scratch walk would find.
+    appended to the stream later could change the match.  An index
+    grows only by appending (writes and take_responses of a key append,
+    a take's dispatch flag is set once), so a final match stays the
+    match a from-scratch walk would find.
     """
 
-    def __init__(
-        self,
-        ros_events: Optional[Sequence[TraceEvent]] = None,
-        trace_index: Optional[TraceIndex] = None,
-    ):
-        if trace_index is None:
-            if ros_events is None:
-                raise ValueError("need ros_events or a trace_index")
-            trace_index = TraceIndex(ros_events)
+    def __init__(self, trace_index: TraceIndex):
         self._index = trace_index
         #: Cursor per (topic, src_ts) key: two periodic callers can write
         #: the same request topic at the same nanosecond, so the k-th
@@ -115,8 +100,8 @@ class EventIndex:
         rather than being clamped to the last one."""
         writes = [
             index
-            for index, event in self._index.writes.get(key, ())
-            if event.get("kind") == "request"
+            for index, payload in self._index.writes.get(key, ())
+            if payload.get("kind") == "request"
         ]
         if not writes:
             return None, None, False
@@ -140,127 +125,19 @@ class EventIndex:
                 final = False
         return None, None, False
 
-    def find_caller(self, take_request_event: TraceEvent) -> Optional[str]:
-        """ID of the caller CB that produced this service request.
-
-        When several writes share (topic, src_ts) -- periodic callers
-        phase-aligning on the simulator's discrete clock -- successive
-        lookups consume successive writes, preserving FIFO order.
-        """
-        key = (take_request_event.get("topic"), take_request_event.get("src_ts"))
-        cursor = self._caller_cursor.get(key, 0)
-        at, caller, _final = self.caller_match(key, cursor)
-        if at is not None:
-            self._caller_cursor[key] = cursor + 1
-        return caller
-
-    def find_client(self, write_event: TraceEvent) -> Optional[str]:
-        """ID of the client CB that will dispatch this service response."""
-        key = (write_event.get("topic"), write_event.get("src_ts"))
-        return self.client_match(key)[1]
-
-
-def _extract_pid_events(
-    pid: int,
-    events: Sequence[TraceEvent],
-    codes: Sequence[int],
-    sched_index: SchedIndex,
-    index: EventIndex,
-    node_name: str,
-) -> CBList:
-    """Alg. 1's per-node walk over the PID's chronological events.
-
-    ``codes`` holds the pre-computed probe code per event (parallel to
-    ``events``, from :meth:`TraceIndex.walk_for_pid`): the walk branches
-    on one small int per event instead of repeated probe-name tests.
-    """
-    cblist = CBList(pid, node_name)
-    add_values = cblist.add_values
-    exec_time = sched_index.exec_time
-    # Instance state in locals (no CallbackInstance allocation per
-    # execution): ``active`` mirrors "instance is not None".
-    active = False
-    cb_type = ""
-    cb_id: Optional[str] = None
-    intopic: Optional[str] = None
-    outtopics: Optional[List[str]] = None
-    is_sync = False
-    start = 0
-    for event, code in zip(events, codes):
-        if code == CODE_CB_START:
-            active = True
-            cb_type = event.cb_type()
-            start = event[0]  # NamedTuple: ts
-            cb_id = None
-            intopic = None
-            outtopics = None
-            is_sync = False
-        elif not active:
-            # Only the P14 no-dispatch probe acts outside an instance,
-            # and it is a no-op when there is nothing to drop.
-            continue
-        elif code == CODE_TIMER_CALL:
-            cb_id = event[3].get("cb_id")
-        elif code == CODE_TAKE:
-            data = event[3]
-            cb_id = data.get("cb_id")
-            intopic = data.get("topic")
-        elif code == CODE_TAKE_RESPONSE:
-            data = event[3]
-            cb_id = data.get("cb_id")
-            intopic = cat(data.get("topic"), cb_id)
-        elif code == CODE_TAKE_REQUEST:
-            data = event[3]
-            cb_id = data.get("cb_id")
-            intopic = cat(data.get("topic"), index.find_caller(event))
-        elif code == CODE_DDS_WRITE:
-            data = event[3]
-            kind = data.get("kind")
-            if kind == "request":
-                top_out = cat(data.get("topic"), cb_id)
-            elif kind == "response":
-                top_out = cat(data.get("topic"), index.find_client(event))
-            else:
-                top_out = data.get("topic")
-            if outtopics is None:
-                outtopics = [top_out]
-            else:
-                outtopics.append(top_out)
-        elif code == CODE_TAKE_TYPE_ERASED:
-            if not event[3].get("will_dispatch"):
-                # Client CB will not dispatch here: drop the instance.
-                active = False
-        elif code == CODE_SYNC_OP:
-            is_sync = True
-        elif code == CODE_CB_END:
-            if cb_id is not None:
-                end = event[0]
-                add_values(
-                    cb_type,
-                    cb_id,
-                    intopic,
-                    outtopics,
-                    is_sync,
-                    start,
-                    end,
-                    exec_time(start, end, pid),
-                )
-            active = False
-    return cblist
-
 
 class PidWalk:
     """One PID's resumable Alg. 1 walk over its walk columns.
 
-    The state machine of :func:`_extract_pid_events`, consuming three
-    parallel per-PID columns: timestamps, probe codes, and an ``aux``
-    slot per row -- the callback-type label for CB-start rows, the
-    decoded payload mapping for the ID-carrying rows Alg. 1
-    dereferences (see :data:`~repro.core.index.PAYLOAD_CODES`), ``None``
-    for everything else.  This is the store-backed path: rows never
-    materialize a :class:`TraceEvent`.  The store consumers pre-drop
-    ``CODE_OTHER`` rows when building these columns -- such rows are
-    no-ops to this state machine.
+    Alg. 1's state machine, consuming a :class:`TraceIndex`'s three
+    parallel per-PID walk columns: timestamps, probe codes, and an
+    ``aux`` slot per row -- the callback-type label for CB-start rows
+    and the payload mapping for the ID-carrying rows Alg. 1
+    dereferences (see :data:`~repro.core.index.PAYLOAD_CODES`); other
+    rows' aux is never read.  Rows never materialize a
+    :class:`TraceEvent`.  The index drops ``CODE_OTHER`` rows when
+    building these columns -- such rows are no-ops to this state
+    machine.
 
     Every piece of walk state persists between :meth:`resume` calls:
     the :class:`CBList`, the next row position, the in-flight instance,
@@ -461,11 +338,50 @@ def _extract_pid_walk(
 ) -> CBList:
     """Alg. 1 for one PID's walk columns in one go: an empty
     :class:`PidWalk` resumed from row 0, sharing ``index``'s caller
-    cursors (like :func:`_extract_pid_events`)."""
+    cursors with every other PID extracted through the same
+    ``index``."""
     walk = PidWalk(pid, node_name)
     walk.cursors = index._caller_cursor
     walk.resume(timestamps, codes, aux, sched_index, index)
     return walk.cblist
+
+
+def resume_walks(
+    index: TraceIndex, wanted: Sequence[int], walks: Dict[int, PidWalk]
+) -> Tuple[int, int]:
+    """Bring the per-PID Alg. 1 walks in ``walks`` up to date with
+    ``index``: a PID without a walk, or whose walk is no longer
+    :meth:`PidWalk.is_current`, walks from row 0; every other PID
+    resumes over its walk rows appended since.  Returns ``(rows walked,
+    re-walked PIDs)``.
+
+    Every piece of mutable extraction state lives in the PID's own walk,
+    the FIFO caller cursors included, so walks of disjoint PID shards
+    are exactly the walks of one serial pass.
+    """
+    lookups = EventIndex(index)
+    pid_map = index.pid_map
+    sched = index.sched
+    rows = rewalks = 0
+    for pid in wanted:
+        node_name = pid_map.get(pid, "")
+        walk = walks.get(pid)
+        if walk is not None and not walk.is_current(node_name, sched, lookups):
+            walk = None
+            rewalks += 1
+        if walk is None:
+            walk = walks[pid] = PidWalk(pid, node_name)
+        timestamps, codes, aux = index.walk_for_pid(pid)
+        rows += walk.resume(timestamps, codes, aux, sched, lookups)
+    return rows, rewalks
+
+
+def _cblists_from_index(index: TraceIndex, wanted: Sequence[int]) -> List[CBList]:
+    """Alg. 1 per ``wanted`` PID over a built index's walk columns:
+    every walk resumed once from an empty state."""
+    walks: Dict[int, PidWalk] = {}
+    resume_walks(index, wanted, walks)
+    return [walks[pid].cblist for pid in wanted]
 
 
 def extract_callbacks(
@@ -473,8 +389,6 @@ def extract_callbacks(
     ros_events: Sequence[TraceEvent],
     sched_index: SchedIndex,
     node_name: str = "",
-    event_index: Optional[EventIndex] = None,
-    pid_events: Optional[Sequence[TraceEvent]] = None,
 ) -> CBList:
     """Alg. 1 for one ROS2 node.
 
@@ -483,53 +397,23 @@ def extract_callbacks(
     pid:
         PID of the node's executor thread.
     ros_events:
-        All ROS2 events of the trace (the algorithm filters by PID, but
-        FindCaller / FindClient need the full stream).
+        All ROS2 events of the trace (the algorithm walks the PID's
+        rows, but FindCaller / FindClient need the full stream).
     sched_index:
         Indexed ``sched_switch`` events for Alg. 2.
     node_name:
         Name from the ROS2-INIT trace (cosmetic; PIDs are the identity).
-    event_index:
-        Pre-built :class:`EventIndex`; built on demand when omitted.
-    pid_events:
-        The PID's chronological events, when the caller already holds a
-        :class:`TraceIndex` view; derived from ``ros_events`` otherwise.
     """
-    index = event_index if event_index is not None else EventIndex(ros_events)
-    if pid_events is None:
-        pid_events = sorted(
-            (e for e in ros_events if e.pid == pid), key=lambda e: e.ts
-        )
-    code_of = PROBE_CODES.get
-    codes = bytearray(code_of(e.probe, CODE_OTHER) for e in pid_events)
-    return _extract_pid_events(pid, pid_events, codes, sched_index, index, node_name)
+    index = TraceIndex(ros_events, wanted_pids=(pid,))
+    timestamps, codes, aux = index.walk_for_pid(pid)
+    walk = PidWalk(pid, node_name)
+    walk.resume(timestamps, codes, aux, sched_index, EventIndex(index))
+    return walk.cblist
 
 
-def extract_all(
-    trace: Trace,
-    pids: Optional[Iterable[int]] = None,
-    trace_index: Optional[TraceIndex] = None,
-) -> List[CBList]:
-    """Run Alg. 1 for every (or the given) node PIDs of a trace.
-
-    One :class:`TraceIndex` finalization pass replaces the per-PID
-    filter-and-sort of the full stream; pass ``trace_index`` to reuse an
-    index built elsewhere.
-    """
-    index = trace_index if trace_index is not None else TraceIndex.from_trace(trace)
-    event_index = EventIndex(trace_index=index)
+def extract_all(trace: Trace, pids: Optional[Iterable[int]] = None) -> List[CBList]:
+    """Run Alg. 1 for every (or the given) node PIDs of a trace: one
+    :class:`TraceIndex` pass, then one :class:`PidWalk` per PID."""
     wanted = sorted(pids) if pids is not None else trace.pids()
-    cblists = []
-    for pid in wanted:
-        events, codes = index.walk_for_pid(pid)
-        cblists.append(
-            _extract_pid_events(
-                pid,
-                events,
-                codes,
-                index.sched,
-                event_index,
-                trace.pid_map.get(pid, ""),
-            )
-        )
-    return cblists
+    index = TraceIndex.from_trace(trace, wanted_pids=wanted)
+    return _cblists_from_index(index, wanted)

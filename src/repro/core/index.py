@@ -1,47 +1,47 @@
-"""Single-pass trace indexing: the ``TraceIndex`` layer.
+"""Columnar trace indexing: the ``TraceIndex`` layer.
 
-Everything downstream of a :class:`~repro.tracing.session.Trace` --
-Alg. 1 extraction, the cross-node :class:`~repro.core.extraction.EventIndex`
-lookups, Alg. 2 exec-time queries -- needs the same two things: ROS
-events in chronological order grouped by PID, and ``sched_switch``
-events bucketed per PID.  Before this layer each consumer re-derived
-them independently: ``extract_callbacks`` filtered and re-sorted the
-full event stream once *per PID* (O(P·N log N) overall), ``EventIndex``
-sorted the stream a second time, and ``Trace.merge`` / ``from_dict``
-re-sorted wholesale even when every input was already ordered.
+Everything downstream of a trace -- Alg. 1 extraction, the cross-node
+:class:`~repro.core.extraction.EventIndex` lookups, Alg. 2 exec-time
+queries -- needs the same things: each PID's ROS rows in chronological
+order, the cross-node association tables, and ``sched_switch`` events
+bucketed per PID.  The paper's tracer emits fixed-layout records that
+user space decodes, so the index consumes *rows*, not event objects:
+``(ts, order, row, pid, code, aux)``, where ``code`` is the integer
+probe code below and ``aux`` is the CB-type label of a CB-start row and
+the payload mapping of the ID-carrying rows.
 
-``TraceIndex`` replaces all of that with **one finalization pass**:
+:class:`TraceIndex` is **one resumable row consumer**.  A single pass
+over the chronological stream builds
 
-* the ROS stream is sorted at most once -- an O(N) monotonicity check
-  skips the sort entirely for the (typical) already-sorted trace; this
-  is the *single-sort invariant*: after construction no consumer may
-  sort ROS events again, they all share :attr:`ros_events` and the
-  per-PID views sliced out of it;
-* one enumeration of the sorted stream simultaneously builds the
-  per-PID event views **and** the cross-node association tables
-  (dds_write -> active writer CB, take_response -> dispatch flag) that
-  ``EventIndex`` previously rebuilt with a second full scan keyed by
-  ``id(event)`` -- here associations are positional (the event's index
-  in the sorted stream), which survives pickling and needs no identity
-  tricks;
-* ``sched_switch`` events go into the columnar
-  :class:`~repro.core.exec_time.SchedIndex` (``array('q')`` timestamp /
-  flag columns), built once and shared by every per-PID extraction.
+* per-PID *walk columns* -- parallel timestamp / code / aux columns
+  that :class:`~repro.core.extraction.PidWalk` walks (code-0 rows are
+  no-ops to Alg. 1 and never enter them);
+* the cross-node tables (dds_write -> active writer CB, take_response
+  -> dispatch flag), keyed by a row's *position* in the stream.
+  Positions count every row, code-0 rows included.
 
-Equality with the pre-index pipeline is bit-exact: all sorts involved
-are stable with the same key, so same-timestamp events keep their
-relative order in both the global stream and every per-PID view.  The
-golden digests in ``tests/test_perf_equivalence.py`` pin the DAG JSON,
-exec tables and DOT exports the pre-index pipeline produced.
+The consumer's state persists between calls, so the in-memory pipeline
+(:meth:`TraceIndex.from_trace`: one call over the rows
+:func:`event_columns` maps out of the event objects) and the store path
+(:class:`~repro.store.index.StoreTraceIndex`: one call per stored run)
+build the same structures by construction.  An unsorted in-memory
+stream is stable-sorted once by ``ts`` first; ``sched_switch`` events
+go into the columnar :class:`~repro.core.exec_time.SchedIndex`, shared
+by every per-PID extraction.  The golden digests in
+``tests/test_perf_equivalence.py`` pin the DAG JSON, exec tables and
+DOT exports built on this index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice, repeat
+from operator import itemgetter, le
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..tracing.events import (
     CB_END_PROBES,
     CB_START_PROBES,
+    CB_TYPE_BY_START,
     P3_TIMER_CALL,
     P6_TAKE,
     P7_SYNC_OP,
@@ -52,12 +52,6 @@ from ..tracing.events import (
     TraceEvent,
 )
 from .exec_time import SchedIndex
-
-#: Probes that carry the callback id Alg. 1 associates with the running
-#: callback instance.
-ID_EVENT_PROBES = frozenset(
-    {P3_TIMER_CALL, P6_TAKE, P10_TAKE_REQUEST, P13_TAKE_RESPONSE}
-)
 
 #: (topic, source timestamp) -- the paper's cross-node correlation key.
 TopicKey = Tuple[Optional[str], Optional[int]]
@@ -129,159 +123,201 @@ def probe_code_lut(code_table: Sequence[int]):
 def cb_start_type_table(strings: Sequence[str]) -> List[Optional[str]]:
     """Callback-type label per string-table id (None for non-start
     probes) -- the columnar counterpart of :meth:`TraceEvent.cb_type`."""
-    from ..tracing.events import CB_TYPE_BY_START
-
     return [CB_TYPE_BY_START.get(text) for text in strings]
+
+
+# TraceEvent is a NamedTuple: ts=0, pid=1, probe=2, data=3.
+_TS = itemgetter(0)
+_PID = itemgetter(1)
+_PROBE = itemgetter(2)
+_DATA = itemgetter(3)
 
 
 def is_sorted_by_ts(events: Sequence[Any]) -> bool:
     """O(N) monotonicity check backing the single-sort invariant."""
-    return all(
-        events[i].ts <= events[i + 1].ts for i in range(len(events) - 1)
+    stamps = list(map(_TS, events))
+    return all(map(le, stamps, islice(stamps, 1, None)))
+
+
+def event_columns(events: Sequence[TraceEvent]) -> Tuple[Iterator, ...]:
+    """An in-memory ROS stream as ``(ts, pid, code, aux)`` column
+    iterators, in the given order.
+
+    Per-field maps at C level -- no per-event Python frame.  ``aux`` is
+    the CB-type label of a CB-start row and the event's payload mapping
+    otherwise (``dict.get`` with the payload as its default picks
+    between them).
+    """
+    probes = list(map(_PROBE, events))
+    return (
+        map(_TS, events),
+        map(_PID, events),
+        map(PROBE_CODES.get, probes, repeat(CODE_OTHER)),
+        map(CB_TYPE_BY_START.get, probes, map(_DATA, events)),
     )
 
 
+#: One PID's walk columns: timestamps, probe codes, and the per-row aux
+#: slot -- parallel sequences consumed by
+#: :class:`~repro.core.extraction.PidWalk`.
+WalkColumns = Tuple[List[int], bytearray, List[Any]]
+
+_EMPTY_WALK: WalkColumns = ([], bytearray(), [])
+
+
 class TraceIndex:
-    """All per-trace lookup structures, built in one pass.
+    """Alg. 1 lookup structures over a chronological row stream.
 
     Parameters
     ----------
     ros_events:
-        The trace's ROS event stream, in any order (sorted at most once).
+        An in-memory ROS event stream, in any order (stable-sorted by
+        ``ts`` at most once).
     sched_events:
         The trace's ``sched_switch`` stream; indexed columnar per PID.
     pid_map:
         TR-IN's PID -> node-name discovery, carried through for
-        extraction convenience.
+        extraction.
+    wanted_pids:
+        PIDs whose walk columns to build; the cross-node tables always
+        cover the full stream -- FindCaller/FindClient reach across
+        PIDs by design.  ``None`` builds every PID.
 
     Attributes
     ----------
-    ros_events:
-        The chronologically sorted ROS stream.  Positions in this list
-        are the event indices used by the cross-node tables.
-    sched:
-        The shared columnar :class:`SchedIndex`.
+    writes:
+        (topic, src_ts) -> [(position, dds_write payload)], FIFO order.
+    writer_cb:
+        dds_write position -> CB id active in the writer at write time.
+    take_responses:
+        (topic, src_ts) -> [(position, take_response payload)].
+    dispatch_after:
+        take_response position -> will_dispatch of the next P14 in the
+        same PID (absent while no P14 has followed).
     """
 
     __slots__ = (
-        "ros_events",
-        "sched",
         "pid_map",
+        "sched",
         "_by_pid",
         "writes",
         "writer_cb",
         "take_responses",
         "dispatch_after",
+        "_wanted",
+        "_current_cb",
+        "_pending_p13",
+        "_appenders",
+        "_next_index",
     )
 
     def __init__(
         self,
-        ros_events: Sequence[TraceEvent],
+        ros_events: Sequence[TraceEvent] = (),
         sched_events: Iterable[Any] = (),
-        pid_map: Optional[Dict[int, str]] = None,
+        pid_map: Optional[Dict[int, Optional[str]]] = None,
+        wanted_pids: Optional[Iterable[int]] = None,
     ):
-        events = list(ros_events)
-        self.ros_events: List[TraceEvent] = events
+        self.pid_map: Dict[int, Optional[str]] = dict(pid_map) if pid_map else {}
         self.sched = SchedIndex(sched_events)
-        self.pid_map: Dict[int, str] = dict(pid_map) if pid_map else {}
-        if not self._build(events, check_sorted=True):
-            # Out-of-order input: sort once (stable, same key as the
-            # monotonicity check) and redo the single pass.
-            events.sort(key=lambda e: e.ts)
-            self._build(events, check_sorted=False)
-
-    def _build(self, events: List[TraceEvent], check_sorted: bool) -> bool:
-        """The single finalization pass.  Returns False (aborting early)
-        when ``check_sorted`` detects out-of-order timestamps."""
-        #: pid -> (that PID's events, probe code per event), both in
-        #: chronological order and parallel to each other.
-        self._by_pid: Dict[int, Tuple[List[TraceEvent], bytearray]] = {}
-        #: (topic, src_ts) -> [(index, dds_write event)], FIFO order.
-        self.writes: Dict[TopicKey, List[Tuple[int, TraceEvent]]] = {}
-        #: dds_write event index -> CB id active in the writer at write time.
+        self._by_pid: Dict[int, WalkColumns] = {}
+        self.writes: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         self.writer_cb: Dict[int, Optional[str]] = {}
-        #: (topic, src_ts) -> [(index, take_response event)].
-        self.take_responses: Dict[TopicKey, List[Tuple[int, TraceEvent]]] = {}
-        #: take_response event index -> will_dispatch of the next P14
-        #: in the same PID (absent when no P14 follows).
+        self.take_responses: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         self.dispatch_after: Dict[int, bool] = {}
-
-        by_pid = self._by_pid
-        writes = self.writes
-        writer_cb = self.writer_cb
-        take_responses = self.take_responses
-        dispatch_after = self.dispatch_after
-        code_of = PROBE_CODES.get
-        current_cb: Dict[int, Optional[str]] = {}
-        pending_p13: Dict[int, List[int]] = {}
-        prev_ts = None
-        # TraceEvent is a NamedTuple: positional access (ts=0, pid=1,
-        # probe=2, data=3) skips the attribute descriptors in this
-        # per-event loop.
-        for index, event in enumerate(events):
-            ts = event[0]
-            pid = event[1]
-            if check_sorted:
-                if prev_ts is not None and ts < prev_ts:
-                    return False
-                prev_ts = ts
-            code = code_of(event[2], CODE_OTHER)
-            pair = by_pid.get(pid)
-            if pair is None:
-                pair = by_pid[pid] = ([], bytearray())
-            pair[0].append(event)
-            pair[1].append(code)
-            if code == CODE_CB_START:
-                current_cb[pid] = None
-            elif CODE_TIMER_CALL <= code <= CODE_TAKE_RESPONSE:
-                data = event[3]
-                current_cb[pid] = data.get("cb_id")
-                if code == CODE_TAKE_RESPONSE:
-                    pending_p13.setdefault(pid, []).append(index)
-                    key = (data.get("topic"), data.get("src_ts"))
-                    take_responses.setdefault(key, []).append((index, event))
-            elif code == CODE_DDS_WRITE:
-                writer_cb[index] = current_cb.get(pid)
-                data = event[3]
-                key = (data.get("topic"), data.get("src_ts"))
-                writes.setdefault(key, []).append((index, event))
-            elif code == CODE_TAKE_TYPE_ERASED:
-                will_dispatch = bool(event[3].get("will_dispatch"))
-                for p13_index in pending_p13.pop(pid, ()):
-                    dispatch_after[p13_index] = will_dispatch
-        return True
+        self._wanted = None if wanted_pids is None else frozenset(wanted_pids)
+        # The association state machine's mutable state, persisted
+        # between consumed parts of the stream.
+        self._current_cb: Dict[int, Optional[str]] = {}
+        self._pending_p13: Dict[int, List[int]] = {}
+        #: pid -> bound (ts, code, aux) append methods of the pid's walk
+        #: columns, so the per-row hot loop skips attribute lookups.
+        self._appenders: Dict[int, tuple] = {}
+        #: position of the next row in the stream.
+        self._next_index = 0
+        if ros_events:
+            if not is_sorted_by_ts(ros_events):
+                ros_events = sorted(ros_events, key=_TS)
+            timestamps, pids, codes, aux = event_columns(ros_events)
+            self._consume_rows(
+                zip(timestamps, repeat(0), range(len(ros_events)), pids, codes, aux)
+            )
 
     @classmethod
-    def from_trace(cls, trace: Any) -> "TraceIndex":
+    def from_trace(
+        cls, trace: Any, wanted_pids: Optional[Iterable[int]] = None
+    ) -> "TraceIndex":
         """Index a :class:`~repro.tracing.session.Trace`."""
         return cls(
             trace.ros_events,
             trace.sched_events,
             pid_map=trace.pid_map,
+            wanted_pids=wanted_pids,
         )
+
+    def _consume_rows(self, rows: Iterable[tuple]) -> None:
+        """The association state machine over ``(ts, order, row, pid,
+        code, aux)`` walk rows, continuing the stream consumed so far."""
+        index = self._next_index
+        current_cb = self._current_cb
+        pending_p13 = self._pending_p13
+        appenders = self._appenders
+        by_pid = self._by_pid
+        wanted = self._wanted
+        writes = self.writes
+        writer_cb = self.writer_cb
+        take_responses = self.take_responses
+        dispatch_after = self.dispatch_after
+        all_wanted = wanted is None
+        for ts, _order, _row, pid, code, aux in rows:
+            if code and (all_wanted or pid in wanted):
+                # code-0 rows are no-ops to the Alg. 1 walk and never
+                # enter walk columns.
+                try:
+                    append_ts, append_code, append_aux = appenders[pid]
+                except KeyError:
+                    # First row of the PID in this consumer: reuse
+                    # columns another consumer may already have created.
+                    walk = by_pid.get(pid)
+                    if walk is None:
+                        walk = by_pid[pid] = ([], bytearray(), [])
+                    append_ts, append_code, append_aux = appenders[pid] = (
+                        walk[0].append, walk[1].append, walk[2].append,
+                    )
+                append_ts(ts)
+                append_code(code)
+                append_aux(aux)
+            if code >= CODE_TIMER_CALL:
+                if code <= CODE_TAKE_RESPONSE:
+                    current_cb[pid] = aux.get("cb_id")
+                    if code == CODE_TAKE_RESPONSE:
+                        pending_p13.setdefault(pid, []).append(index)
+                        key = (aux.get("topic"), aux.get("src_ts"))
+                        take_responses.setdefault(key, []).append((index, aux))
+                elif code == CODE_DDS_WRITE:
+                    writer_cb[index] = current_cb.get(pid)
+                    key = (aux.get("topic"), aux.get("src_ts"))
+                    writes.setdefault(key, []).append((index, aux))
+                elif code == CODE_TAKE_TYPE_ERASED:
+                    will_dispatch = bool(aux.get("will_dispatch"))
+                    for p13_index in pending_p13.pop(pid, ()):
+                        dispatch_after[p13_index] = will_dispatch
+            elif code == CODE_CB_START:
+                current_cb[pid] = None
+            index += 1
+        self._next_index = index
 
     # -- views -------------------------------------------------------------
 
     def pids(self) -> List[int]:
-        """PIDs observed in the ROS stream, ascending."""
+        """PIDs with walk columns (the wanted subset), ascending."""
         return sorted(self._by_pid)
 
-    def ros_for_pid(self, pid: int) -> List[TraceEvent]:
-        """The PID's ROS events in chronological order (shared view --
-        callers must not mutate)."""
-        pair = self._by_pid.get(pid)
-        return pair[0] if pair is not None else []
-
-    def walk_for_pid(self, pid: int) -> Tuple[List[TraceEvent], bytearray]:
-        """The PID's chronological events plus their probe codes.
-
-        The two sequences are parallel; the codes let Alg. 1 dispatch on
-        an int per event instead of probe-name membership tests.
-        """
-        pair = self._by_pid.get(pid)
-        if pair is None:
-            return [], bytearray()
-        return pair
+    def walk_for_pid(self, pid: int) -> WalkColumns:
+        """The PID's parallel (timestamps, codes, aux) walk columns, in
+        chronological order (shared view -- callers must not mutate)."""
+        return self._by_pid.get(pid, _EMPTY_WALK)
 
     def __len__(self) -> int:
-        return len(self.ros_events)
+        """Rows consumed so far, code-0 rows included."""
+        return self._next_index

@@ -52,11 +52,10 @@ from typing import Any, Dict, List, Optional
 from ..analysis.latency import LatencyIndex
 from ..analysis.store import _store_rows, latency_index_from_store
 from ..core.dag import TimingDag
-from ..core.extraction import PidWalk
+from ..core.extraction import PidWalk, resume_walks
 from ..core.synthesis import synthesize_dag
 from ..store.database import TraceStore
 from ..store.index import StoreTraceIndex
-from ..store.synthesis import resume_walks
 
 
 @dataclass

@@ -1,18 +1,15 @@
 """Columnar Alg. 1 indexing straight over stored segments.
 
-:class:`StoreTraceIndex` is the store-native sibling of
-:class:`~repro.core.index.TraceIndex`: the same per-PID walk views and
-cross-node association tables, built by consuming
-:class:`~repro.store.reader.SegmentReader` columns directly instead of
-a merged list of :class:`~repro.tracing.events.TraceEvent` objects.
-
-The index is resumable.  The association state machine's mutable state
-(the active CB per PID, pending P13 rows, the running stream position,
-bound walk-column appenders) lives on the index, so :meth:`extend`
-consumes one more run as the next run of the merge order.  The batch
-constructor is just ``extend`` per reader, and the live service keeps
-one index and extends it per arriving segment -- both build the same
-structures by construction.
+:class:`StoreTraceIndex` is :class:`~repro.core.index.TraceIndex` fed
+from :class:`~repro.store.reader.SegmentReader` columns: the same
+resumable row consumer builds the same per-PID walk columns and
+cross-node association tables, and this subclass adds only what is
+specific to readers -- consuming one run per :meth:`extend`, deciding
+whether a run may append (:meth:`can_append`), the vectorized column
+consumer for large segments, and the per-run ``sched_switch`` bucket
+fold.  The batch constructor is just ``extend`` per reader, and the
+live service keeps one index and extends it per arriving segment --
+both build the same structures by construction.
 
 What makes it cheap:
 
@@ -39,10 +36,9 @@ What makes it cheap:
 
 Equivalence with the in-memory pipeline is byte-exact and pinned by
 ``tests/test_store_synthesis.py``: all orderings are the stable
-chronological merges ``TraceIndex`` sees, per-PID walk columns carry the
-same values the event objects would, and bucket contents match because a
-PID's bucket in the merged stream equals the stable ts-merge of its
-per-run buckets.
+chronological merges ``Trace.merge`` produces, the row consumer is
+shared, and bucket contents match because a PID's bucket in the merged
+stream equals the stable ts-merge of its per-run buckets.
 """
 
 from __future__ import annotations
@@ -61,20 +57,13 @@ from ..core.index import (
     CODE_TAKE_RESPONSE,
     CODE_TAKE_TYPE_ERASED,
     CODE_TIMER_CALL,
-    TopicKey,
+    TraceIndex,
     probe_code_lut,
 )
 from .format import SHAPE_JSON
 
-#: One PID's walk columns: timestamps, probe codes, and the per-row aux
-#: slot (CB-type label / decoded payload / None) -- parallel sequences
-#: consumed by :class:`~repro.core.extraction.PidWalk`.
-WalkColumns = Tuple[List[int], bytearray, List[Any]]
-
 #: One PID's sched bucket: timestamps and open/close flags.
 SchedBucket = Tuple[array, bytearray]
-
-_EMPTY_WALK: WalkColumns = ([], bytearray(), [])
 
 
 def _runs_are_time_ordered(readers: Sequence[Any]) -> bool:
@@ -170,7 +159,7 @@ def run_sched_buckets(
     return local
 
 
-class StoreTraceIndex:
+class StoreTraceIndex(TraceIndex):
     """Alg. 1 lookup structures built from stored segment columns.
 
     Parameters
@@ -181,57 +170,18 @@ class StoreTraceIndex:
         an empty index to grow with :meth:`extend`.
     wanted_pids:
         PIDs whose walk columns and sched buckets to build (a worker's
-        shard); the cross-node tables always cover the full stream --
-        FindCaller/FindClient reach across shards by design.  ``None``
-        builds every PID (the serial path).
-
-    The attribute surface matches what
-    :class:`~repro.core.extraction.EventIndex` consumes from
-    :class:`~repro.core.index.TraceIndex` (``writes`` / ``writer_cb`` /
-    ``take_responses`` / ``dispatch_after``), with payload mappings in
-    the table slots where ``TraceIndex`` stores events -- both expose
-    ``.get``, which is all the lookups use.
+        shard); the cross-node tables always cover the full stream.
+        ``None`` builds every PID (the serial path).
     """
 
-    __slots__ = (
-        "pid_map",
-        "sched",
-        "_by_pid",
-        "writes",
-        "writer_cb",
-        "take_responses",
-        "dispatch_after",
-        "_wanted",
-        "_current_cb",
-        "_pending_p13",
-        "_appenders",
-        "_next_index",
-        "_last_ros_end",
-        "_ordered",
-        "_sched_buckets",
-    )
+    __slots__ = ("_last_ros_end", "_ordered", "_sched_buckets")
 
     def __init__(
         self,
         readers: Sequence[Any],
         wanted_pids: Optional[Iterable[int]] = None,
     ):
-        self.pid_map: Dict[int, Optional[str]] = {}
-        self._by_pid: Dict[int, WalkColumns] = {}
-        self.writes: Dict[TopicKey, List[Tuple[int, Any]]] = {}
-        self.writer_cb: Dict[int, Optional[str]] = {}
-        self.take_responses: Dict[TopicKey, List[Tuple[int, Any]]] = {}
-        self.dispatch_after: Dict[int, bool] = {}
-        self._wanted = None if wanted_pids is None else frozenset(wanted_pids)
-        # The association state machine's mutable state, persisted
-        # between extends.
-        self._current_cb: Dict[int, Optional[str]] = {}
-        self._pending_p13: Dict[int, List[int]] = {}
-        #: pid -> bound (ts, code, aux) append methods of the pid's walk
-        #: columns, so the per-row hot loop skips attribute lookups.
-        self._appenders: Dict[int, tuple] = {}
-        #: position of the next row in the merged stream.
-        self._next_index = 0
+        super().__init__(wanted_pids=wanted_pids)
         #: ROS ts upper bound of the last extended run with any ROS
         #: events -- the rolling bound _runs_are_time_ordered tracks.
         self._last_ros_end: Optional[int] = None
@@ -321,11 +271,11 @@ class StoreTraceIndex:
 
     # -- ROS stream: walk columns + cross-node tables ----------------------
 
-    # Both _consume_* bodies are the association state machine of
-    # TraceIndex._build over positional indices of the merged stream:
-    # the numpy one for large v2/v3 segments, the row one for
-    # everything else.  The store equivalence suites pin both against
-    # the in-memory pipeline, under numpy and REPRO_NO_NUMPY.
+    # _consume_columns_np is the vectorized form of the inherited
+    # TraceIndex._consume_rows, for large v2/v3 segments; every other
+    # run goes through the row consumer.  The store equivalence suites
+    # pin both against the in-memory pipeline, under numpy and
+    # REPRO_NO_NUMPY.
 
     def _consume_columns_np(self, columns: Tuple) -> None:
         """The vectorized consumer: per-row dispatch hoisted into
@@ -479,66 +429,3 @@ class StoreTraceIndex:
                 for p13_index in pending_p13.pop(pid, ()):
                     dispatch_after[p13_index] = will_dispatch
         self._next_index = index + n
-
-    def _consume_rows(self, rows: Iterable[tuple]) -> None:
-        """The row consumer over ``(ts, order, row, pid, code, aux)``
-        walk rows (:meth:`~repro.store.reader.SegmentReader.walk_rows`
-        or :func:`merged_walk_rows`)."""
-        index = self._next_index
-        current_cb = self._current_cb
-        pending_p13 = self._pending_p13
-        appenders = self._appenders
-        by_pid = self._by_pid
-        wanted = self._wanted
-        writes = self.writes
-        writer_cb = self.writer_cb
-        take_responses = self.take_responses
-        dispatch_after = self.dispatch_after
-        all_wanted = wanted is None
-        for ts, _order, _row, pid, code, aux in rows:
-            if code and (all_wanted or pid in wanted):
-                # code-0 rows are no-ops to the Alg. 1 walk and never
-                # enter walk columns (matching the vectorized consumer).
-                try:
-                    append_ts, append_code, append_aux = appenders[pid]
-                except KeyError:
-                    # First row of the PID in this index: reuse columns
-                    # the vectorized consumer may already have created.
-                    walk = by_pid.get(pid)
-                    if walk is None:
-                        walk = by_pid[pid] = ([], bytearray(), [])
-                    append_ts, append_code, append_aux = appenders[pid] = (
-                        walk[0].append, walk[1].append, walk[2].append,
-                    )
-                append_ts(ts)
-                append_code(code)
-                append_aux(aux)
-            if code >= CODE_TIMER_CALL:
-                if code <= CODE_TAKE_RESPONSE:
-                    current_cb[pid] = aux.get("cb_id")
-                    if code == CODE_TAKE_RESPONSE:
-                        pending_p13.setdefault(pid, []).append(index)
-                        key = (aux.get("topic"), aux.get("src_ts"))
-                        take_responses.setdefault(key, []).append((index, aux))
-                elif code == CODE_DDS_WRITE:
-                    writer_cb[index] = current_cb.get(pid)
-                    key = (aux.get("topic"), aux.get("src_ts"))
-                    writes.setdefault(key, []).append((index, aux))
-                elif code == CODE_TAKE_TYPE_ERASED:
-                    will_dispatch = bool(aux.get("will_dispatch"))
-                    for p13_index in pending_p13.pop(pid, ()):
-                        dispatch_after[p13_index] = will_dispatch
-            elif code == CODE_CB_START:
-                current_cb[pid] = None
-            index += 1
-        self._next_index = index
-
-    # -- views -------------------------------------------------------------
-
-    def pids(self) -> List[int]:
-        """PIDs with walk columns (the wanted subset), ascending."""
-        return sorted(self._by_pid)
-
-    def walk_for_pid(self, pid: int) -> WalkColumns:
-        """The PID's parallel (timestamps, codes, aux) walk columns."""
-        return self._by_pid.get(pid, _EMPTY_WALK)

@@ -22,17 +22,15 @@ Sec. V without an in-memory :class:`TraceDatabase`:
   :func:`~repro.core.merge.merge_dags`.
 
 Sharding discipline: per-PID extraction only shares the *immutable*
-``TraceIndex`` tables.  Every piece of mutable extraction state lives
-in the PID's own :class:`~repro.core.extraction.PidWalk`, the FIFO
-caller cursors included, so a shard's walks are exactly the serial
-pass's walks.  The in-memory pipeline shares one cursor dict across
-PIDs instead; the two agree because the cursors are keyed by
-``(topic, src_ts)`` and every take of such a key happens in the one PID
-hosting that service.  The equivalence suite pins this byte-for-byte
-against ``synthesize_from_trace`` for every registry scenario at
-several job counts.  :func:`resume_walks` is the one extraction driver:
-batch synthesis resumes empty walks once, the live service keeps its
-walks and resumes them per model.
+index tables.  Every piece of mutable extraction state lives in the
+PID's own :class:`~repro.core.extraction.PidWalk`, the FIFO caller
+cursors included, so a shard's walks are exactly the serial pass's
+walks.  The in-memory pipeline runs the same row consumer and the same
+walks over an in-memory trace; the equivalence suite pins the two
+byte-for-byte for every registry scenario at several job counts.
+:func:`~repro.core.extraction.resume_walks` is the one extraction
+driver: batch synthesis resumes empty walks once, the live service
+keeps its walks and resumes them per model.
 """
 
 from __future__ import annotations
@@ -41,9 +39,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.dag import TimingDag
-from ..core.extraction import EventIndex, PidWalk
+from ..core.extraction import _cblists_from_index
 from ..experiments.batch import _shard
-from ..core.index import TraceIndex
 from ..core.merge import merge_dags
 from ..core.pipeline import (
     STRATEGY_MERGE_DAGS,
@@ -54,63 +51,6 @@ from ..core.records import CBList
 from ..core.synthesis import synthesize_dag
 from .database import StoreLike, TraceStore, as_store
 from .index import StoreTraceIndex
-from .reader import merge_ros_streams, merge_sched_streams
-
-
-def _index_from_readers(readers: Sequence) -> TraceIndex:
-    pid_map: Dict[int, Optional[str]] = {}
-    for reader in readers:
-        pid_map.update(reader.pid_map)
-    return TraceIndex(
-        list(merge_ros_streams(readers)),
-        merge_sched_streams(readers),
-        pid_map=pid_map,
-    )
-
-
-def merged_trace_index(store: StoreLike) -> TraceIndex:
-    """One :class:`TraceIndex` over all stored runs, streamed.
-
-    Events decode once, directly into the index's merged chronological
-    list; per-run ``Trace`` objects are never materialized and sched
-    events flow straight into the columnar ``SchedIndex``.
-    """
-    return _index_from_readers(as_store(store).readers())
-
-
-def resume_walks(
-    index: StoreTraceIndex, wanted: Sequence[int], walks: Dict[int, PidWalk]
-) -> Tuple[int, int]:
-    """Bring the per-PID Alg. 1 walks in ``walks`` up to date with
-    ``index``: a PID without a walk, or whose walk is no longer
-    :meth:`~repro.core.extraction.PidWalk.is_current`, walks from row 0;
-    every other PID resumes over its walk rows appended since.  Returns
-    ``(rows walked, re-walked PIDs)``."""
-    lookups = EventIndex(trace_index=index)
-    pid_map = index.pid_map
-    sched = index.sched
-    rows = rewalks = 0
-    for pid in wanted:
-        node_name = pid_map.get(pid, "")
-        walk = walks.get(pid)
-        if walk is not None and not walk.is_current(node_name, sched, lookups):
-            walk = None
-            rewalks += 1
-        if walk is None:
-            walk = walks[pid] = PidWalk(pid, node_name)
-        timestamps, codes, aux = index.walk_for_pid(pid)
-        rows += walk.resume(timestamps, codes, aux, sched, lookups)
-    return rows, rewalks
-
-
-def _cblists_from_index(
-    index: StoreTraceIndex, wanted: Sequence[int]
-) -> List[CBList]:
-    """Alg. 1 per ``wanted`` PID over a built index's walk columns:
-    every walk resumed once from an empty state."""
-    walks: Dict[int, PidWalk] = {}
-    resume_walks(index, wanted, walks)
-    return [walks[pid].cblist for pid in wanted]
 
 
 def _extract_store_cblists(

@@ -110,10 +110,10 @@ class PerfBuffer:
         """Push one event of ``size`` bytes; False if it was dropped.
 
         NOTE: two hot probe paths inline this body to skip the call
-        frame -- ``repro.tracing.probes._submit`` and
-        ``repro.tracing.tracers.KernelTracer._on_switch``.  Any change
-        to the accounting/overflow semantics here must be mirrored
-        there.
+        frame -- ``repro.tracing.probes._submit`` and the ``on_switch``
+        handler that ``repro.tracing.tracers.KernelTracer._attach``
+        installs.  Any change to the accounting/overflow semantics here
+        must be mirrored there.
         """
         self.submitted += 1
         if len(self._events) >= self.capacity:

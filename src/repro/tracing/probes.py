@@ -54,7 +54,8 @@ def _submit(buffer: PerfBuffer, event: TraceEvent) -> None:
     # Inlined copies of overhead.event_size_bytes() and
     # PerfBuffer.submit(): one firing per traced middleware call makes
     # each saved frame measurable.  Keep in sync with both originals
-    # (the other inlined submit lives in tracers.KernelTracer._on_switch).
+    # (the other inlined submit is the on_switch handler that
+    # tracers.KernelTracer._attach installs).
     # The capacity check runs before the size computation: a lost event
     # never contributes to bytes_submitted, so its size is dead work.
     buffer.submitted += 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, List
 
-from .bpf import DEFAULT_TRACEPOINT_COST_NS, Bpf, BpfProgram, PerfBuffer
+from .bpf import Bpf, BpfProgram, PerfBuffer
 from .events import TraceEvent
 from .overhead import SCHED_EVENT_BYTES
 from .probes import ROS2_PIDS_MAP, InitProbes, RuntimeProbes
@@ -121,25 +121,13 @@ class KernelTracer(_TracerBase):
         #: All tracepoint firings, including filtered-out ones -- the
         #: denominator of the footprint-reduction ablation.
         self.seen = 0
-        #: Accounting target of ``_on_switch`` (the handler bumps
-        #: ``run_cnt`` itself: it attaches through ``load_tracepoint``,
-        #: skipping the per-firing trampoline).  A placeholder program
-        #: until ``start`` attaches the real one, so the handler is
-        #: callable stand-alone (unit tests drive it directly).
-        self._switch_program = BpfProgram(
-            name="TRKN.sched_switch",
-            kind="tracepoint",
-            target="sched:sched_switch",
-            cost_ns=DEFAULT_TRACEPOINT_COST_NS,
-        )
 
     def _attach(self) -> None:
         def factory(program: BpfProgram):
-            # Fused copy of _on_switch (which stays as the reference
-            # implementation for stand-alone/unit use; keep in sync):
-            # captures the program, pid dict and buffer once, so the
-            # per-switch firing does no tracer attribute lookups.
-            self._switch_program = program
+            # The sched_switch handler, fused: it bumps the program's
+            # run_cnt itself (load_tracepoint skips the per-firing
+            # trampoline) and captures the program, pid dict and buffer
+            # once, so a firing does no tracer attribute lookups.
             tracer = self
             pids = self._pids
             buffer = self.buffer
@@ -149,8 +137,12 @@ class KernelTracer(_TracerBase):
             def on_switch(record: Any) -> None:
                 program.run_cnt += 1
                 tracer.seen += 1
+                # record[2]/[6]: SchedSwitch prev_pid/next_pid.
                 if filtered and record[2] not in pids and record[6] not in pids:
                     return
+                # Inlined copy of PerfBuffer.submit (one firing per
+                # context switch); keep in sync with it and with
+                # probes._submit.
                 buffer.submitted += 1
                 events = buffer._events
                 if len(events) >= capacity:
@@ -173,24 +165,6 @@ class KernelTracer(_TracerBase):
                     "sched:sched_wakeup", self._on_wakeup, name="TRKN.sched_wakeup"
                 )
             )
-
-    def _on_switch(self, record: Any) -> None:
-        self._switch_program.run_cnt += 1
-        self.seen += 1
-        if self.filtered:
-            pids = self._pids
-            if record[2] not in pids and record[6] not in pids:
-                return  # record[2]/[6]: SchedSwitch prev_pid/next_pid
-        # Inlined copy of PerfBuffer.submit (hot: one firing per context
-        # switch); keep in sync with it and with probes._submit.
-        buffer = self.buffer
-        buffer.submitted += 1
-        events = buffer._events
-        if len(events) >= buffer.capacity:
-            buffer.lost += 1
-            return
-        events.append(record)
-        buffer.bytes_submitted += SCHED_EVENT_BYTES
 
     def _on_wakeup(self, record: Any) -> None:
         if self.filtered and record.pid not in self.pid_map:

@@ -22,8 +22,12 @@ from repro.analysis import (
     suggest_binding,
     waiting_times,
 )
-from repro.analysis.latency import _trace_rows
-from repro.core.index import CODE_CB_END, CODE_CB_START, CODE_DDS_WRITE
+from repro.core.index import (
+    CODE_CB_END,
+    CODE_CB_START,
+    CODE_DDS_WRITE,
+    event_columns,
+)
 from repro.apps import build_avp, build_syn
 from repro.core import DagVertex, TimingDag, synthesize_from_trace
 from repro.experiments import RunConfig, run_once
@@ -267,7 +271,7 @@ class TestLatencyIndex:
         one-shot build, structure for structure."""
         _, result = avp_model
         trace = result.trace
-        rows = list(_trace_rows(trace))
+        rows = list(zip(*event_columns(trace.ros_events)))
         wakeups = [(20, 7), (5, 7), (40, 8)]
         whole = LatencyIndex(rows, sorted(wakeups))
         parts = LatencyIndex(rows[:1])

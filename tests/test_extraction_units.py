@@ -8,7 +8,14 @@ splitting.
 
 import pytest
 
-from repro.core import CBList, EventIndex, SchedIndex, cat, extract_callbacks
+from repro.core import (
+    CBList,
+    EventIndex,
+    SchedIndex,
+    TraceIndex,
+    cat,
+    extract_callbacks,
+)
 from repro.tracing import (
     P2_TIMER_START,
     P3_TIMER_CALL,
@@ -226,11 +233,17 @@ class TestEventIndex:
                 ev(110, pid, P16_DDS_WRITE, topic="/svRequest", kind="request", src_ts=110),
                 ev(115, pid, P4_TIMER_END),
             ]
-        index = EventIndex(events)
-        take = ev(200, 2, P10_TAKE_REQUEST, cb_id="SV", topic="/svRequest",
-                  service="/sv", src_ts=110)
-        assert index.find_caller(take) == "A"
-        assert index.find_caller(take) == "B"
+        for ts in (200, 300):
+            events += [
+                ev(ts, 2, P9_SERVICE_START),
+                ev(ts + 1, 2, P10_TAKE_REQUEST, cb_id="SV", topic="/svRequest",
+                   service="/sv", src_ts=110),
+                ev(ts + 10, 2, P11_SERVICE_END),
+            ]
+        cblist = extract_callbacks(2, events, EMPTY_SCHED)
+        assert [r.intopic for r in cblist] == [
+            cat("/svRequest", "A"), cat("/svRequest", "B"),
+        ]
 
     def test_find_client_skips_non_dispatching(self):
         events = [
@@ -240,6 +253,15 @@ class TestEventIndex:
             ev(300, 5, P13_TAKE_RESPONSE, cb_id="CL_Y", topic="/svReply", src_ts=230),
             ev(301, 5, P14_TAKE_TYPE_ERASED, will_dispatch=1),
         ]
-        index = EventIndex(events)
-        write = ev(230, 2, P16_DDS_WRITE, topic="/svReply", kind="response", src_ts=230)
-        assert index.find_client(write) == "CL_Y"
+        index = EventIndex(trace_index=TraceIndex(events))
+        # Stable sort: pid 4's take is row 0, pid 5's row 1.
+        assert index.client_match(("/svReply", 230)) == (1, "CL_Y", True)
+        server = [
+            ev(200, 2, P9_SERVICE_START),
+            ev(201, 2, P10_TAKE_REQUEST, cb_id="SV", topic="/svRequest",
+               service="/sv", src_ts=110),
+            ev(230, 2, P16_DDS_WRITE, topic="/svReply", kind="response", src_ts=230),
+            ev(235, 2, P11_SERVICE_END),
+        ]
+        record = extract_callbacks(2, server + events, EMPTY_SCHED).get("SV")
+        assert record.outtopics == [cat("/svReply", "CL_Y")]

@@ -10,7 +10,7 @@ from repro.perf import check_regression
 from repro.perf.bench import COUNTER_TOLERANCE, REGRESSION_METRICS, _count_calls
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-SMOKE_BASELINE = REPO_ROOT / "BENCH_9.smoke.json"
+SMOKE_BASELINE = REPO_ROOT / "BENCH_10.smoke.json"
 
 
 def _set(payload, dotted, value):

@@ -1,14 +1,13 @@
-"""Unit tests for the single-pass TraceIndex layer."""
+"""Unit tests for the columnar TraceIndex layer."""
 
 import pytest
 
-from repro.core import SchedIndex, TraceIndex, is_sorted_by_ts
-from repro.core.extraction import EventIndex
+from repro.core import SchedIndex, TraceIndex, cat, is_sorted_by_ts
+from repro.core.extraction import EventIndex, PidWalk
 from repro.core.index import (
     CODE_CB_END,
     CODE_CB_START,
     CODE_DDS_WRITE,
-    CODE_OTHER,
     CODE_TAKE,
     PROBE_CODES,
 )
@@ -17,6 +16,9 @@ from repro.tracing.events import (
     P2_TIMER_START,
     P4_TIMER_END,
     P6_TAKE,
+    P9_SERVICE_START,
+    P10_TAKE_REQUEST,
+    P11_SERVICE_END,
     P16_DDS_WRITE,
     TraceEvent,
 )
@@ -30,18 +32,28 @@ class TestSingleSortInvariant:
     def test_sorted_input_is_not_copied_out_of_order(self):
         events = [ev(10, 1, P2_TIMER_START), ev(20, 1, P4_TIMER_END)]
         index = TraceIndex(events)
-        assert [e.ts for e in index.ros_events] == [10, 20]
+        assert index.walk_for_pid(1)[0] == [10, 20]
 
     def test_unsorted_input_sorted_once(self):
-        events = [ev(20, 1, P4_TIMER_END), ev(10, 1, P2_TIMER_START)]
+        events = [
+            ev(20, 1, P4_TIMER_END),
+            ev(15, 2, P16_DDS_WRITE, topic="u", src_ts=1, kind="data"),
+            ev(10, 1, P2_TIMER_START),
+        ]
+        assert not is_sorted_by_ts(events)
         index = TraceIndex(events)
-        assert [e.ts for e in index.ros_events] == [10, 20]
-        assert is_sorted_by_ts(index.ros_events)
+        assert index.walk_for_pid(1)[0] == [10, 20]
+        # Stream positions are positions in the sorted stream.
+        assert [at for at, _ in index.writes[("u", 1)]] == [1]
 
     def test_equal_timestamps_keep_input_order(self):
         a, b = ev(10, 1, P2_TIMER_START), ev(10, 1, P4_TIMER_END)
         index = TraceIndex([a, b])
-        assert index.ros_events == [a, b]
+        assert list(index.walk_for_pid(1)[1]) == [CODE_CB_START, CODE_CB_END]
+        # ...also when the stream needs its one sort.
+        later = ev(5, 2, P2_TIMER_START)
+        index = TraceIndex([a, b, later])
+        assert list(index.walk_for_pid(1)[1]) == [CODE_CB_START, CODE_CB_END]
 
     def test_input_list_not_mutated(self):
         events = [ev(20, 1, P4_TIMER_END), ev(10, 1, P2_TIMER_START)]
@@ -59,9 +71,19 @@ class TestPerPidViews:
         ]
         index = TraceIndex(events)
         assert index.pids() == [1, 2]
-        assert [e.ts for e in index.ros_for_pid(1)] == [10, 12]
-        assert [e.ts for e in index.ros_for_pid(2)] == [11, 13]
-        assert index.ros_for_pid(99) == []
+        assert index.walk_for_pid(1)[0] == [10, 12]
+        assert index.walk_for_pid(2)[0] == [11, 13]
+        assert index.walk_for_pid(99)[0] == []
+
+    def test_wanted_pids_select_walks_not_tables(self):
+        events = [
+            ev(10, 1, P6_TAKE, cb_id="A", topic="t"),
+            ev(11, 1, P16_DDS_WRITE, topic="u", src_ts=1, kind="request"),
+            ev(12, 2, P2_TIMER_START),
+        ]
+        index = TraceIndex(events, wanted_pids=[2])
+        assert index.pids() == [2]
+        assert index.writer_cb == {1: "A"}
 
     def test_walk_codes_parallel_to_events(self):
         events = [
@@ -70,17 +92,25 @@ class TestPerPidViews:
             ev(12, 1, P16_DDS_WRITE, topic="u", src_ts=12, kind="data"),
             ev(13, 1, P4_TIMER_END),
             ev(14, 1, "unknown_probe"),
+            ev(15, 1, P16_DDS_WRITE, topic="v", src_ts=15, kind="data"),
         ]
         index = TraceIndex(events)
-        walked, codes = index.walk_for_pid(1)
-        assert walked == index.ros_for_pid(1)
+        timestamps, codes, aux = index.walk_for_pid(1)
+        # Code-0 rows never enter walk columns...
+        assert timestamps == [10, 11, 12, 13, 15]
         assert list(codes) == [
-            CODE_CB_START, CODE_TAKE, CODE_DDS_WRITE, CODE_CB_END, CODE_OTHER
+            CODE_CB_START, CODE_TAKE, CODE_DDS_WRITE, CODE_CB_END,
+            CODE_DDS_WRITE,
         ]
+        assert aux[0] == "timer"
+        assert aux[1] == {"cb_id": "S1", "topic": "t"}
+        # ...but stream positions count them.
+        assert len(index) == 6
+        assert [at for at, _ in index.writes[("v", 15)]] == [5]
 
     def test_walk_for_unknown_pid_empty(self):
-        events, codes = TraceIndex([]).walk_for_pid(5)
-        assert events == [] and len(codes) == 0
+        timestamps, codes, aux = TraceIndex([]).walk_for_pid(5)
+        assert timestamps == [] and len(codes) == 0 and aux == []
 
     def test_probe_code_table_covers_every_table1_alg1_probe(self):
         from repro.tracing.events import PROBE_TABLE, P1_CREATE_NODE
@@ -89,6 +119,16 @@ class TestPerPidViews:
             if probe == P1_CREATE_NODE:
                 continue  # P1 is TR-IN only; Alg. 1 ignores it
             assert probe in PROBE_CODES
+
+
+def _two_writers():
+    """Two callers writing the same request key (topic "u", srcTS 1)."""
+    return [
+        ev(10, 1, P6_TAKE, cb_id="A", topic="t"),
+        ev(11, 1, P16_DDS_WRITE, topic="u", src_ts=1, kind="request"),
+        ev(13, 2, P6_TAKE, cb_id="B", topic="t"),
+        ev(14, 2, P16_DDS_WRITE, topic="u", src_ts=1, kind="request"),
+    ]
 
 
 class TestCrossNodeTables:
@@ -109,20 +149,30 @@ class TestCrossNodeTables:
         assert index.writer_cb[i1] == "A"  # ...with distinct associations
         assert index.writer_cb[i2] == "B"
 
-    def test_event_index_cursors_are_per_instance(self):
-        events = [
-            ev(10, 1, P6_TAKE, cb_id="A", topic="t"),
-            ev(11, 1, P16_DDS_WRITE, topic="u", src_ts=1, kind="request"),
-            ev(13, 2, P6_TAKE, cb_id="B", topic="t"),
-            ev(14, 2, P16_DDS_WRITE, topic="u", src_ts=1, kind="request"),
-        ]
-        index = TraceIndex(events)
-        take = ev(20, 3, "rmw_take_request", topic="u", src_ts=1)
-        first = EventIndex(trace_index=index)
-        assert first.find_caller(take) == "A"
-        assert first.find_caller(take) == "B"  # cursor advanced
-        # A fresh EventIndex over the same TraceIndex starts over.
-        assert EventIndex(trace_index=index).find_caller(take) == "A"
+    def test_caller_match_follows_the_cursor(self):
+        lookups = EventIndex(trace_index=TraceIndex(_two_writers()))
+        key = ("u", 1)
+        assert lookups.caller_match(key, 0) == (1, "A", True)
+        assert lookups.caller_match(key, 1) == (3, "B", True)
+        # A cursor past the last write clamps to it, not final.
+        assert lookups.caller_match(key, 2) == (3, "B", False)
+        assert lookups.caller_match(("u", 2), 0) == (None, None, False)
+
+    def test_walk_cursors_are_per_walk(self):
+        server = []
+        for ts in (20, 30):
+            server += [
+                ev(ts, 3, P9_SERVICE_START),
+                ev(ts + 1, 3, P10_TAKE_REQUEST, cb_id="SV", topic="u", src_ts=1),
+                ev(ts + 2, 3, P11_SERVICE_END),
+            ]
+        index = TraceIndex(_two_writers() + server)
+        lookups = EventIndex(trace_index=index)
+        for _ in range(2):
+            # A fresh walk over the same index starts its cursors over.
+            walk = PidWalk(3, "server")
+            walk.resume(*index.walk_for_pid(3), index.sched, lookups)
+            assert [r.intopic for r in walk.cblist] == [cat("u", "A"), cat("u", "B")]
 
 
 def switch(ts, prev_pid, next_pid):
@@ -181,14 +231,26 @@ class TestInlinedSubmitCopies:
         for record in records:
             reference.submit(record, size=SCHED_EVENT_BYTES)
 
-        tracer = KernelTracer(Bpf(symbols=None), filtered=False)
-        tracer.buffer = PerfBuffer("inl", capacity=6)
+        handlers = []
+
+        def attach(handler):
+            handlers.append(handler)
+            return lambda: handlers.remove(handler)
+
+        bpf = Bpf(symbols=None, tracepoints={"sched:sched_switch": attach})
+        tracer = KernelTracer(bpf, filtered=False, buffer_capacity=6)
+        tracer.start()
+        (on_switch,) = handlers
         for record in records:
-            tracer._on_switch(record)
+            on_switch(record)
+        (program,) = bpf.programs
+        assert program.run_cnt == tracer.seen == len(records)
         assert tracer.buffer.submitted == reference.submitted
         assert tracer.buffer.lost == reference.lost
         assert tracer.buffer.bytes_submitted == reference.bytes_submitted
         assert tracer.buffer.poll() == reference.poll()
+        tracer.stop()
+        assert handlers == []
 
 
 class TestKernelCompaction:
